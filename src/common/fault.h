@@ -162,8 +162,9 @@ class FaultRegistry {
 };
 
 /// Declares + evaluates the fault point `name` (a string literal of
-/// [a-z0-9_.]+, unique across the tree — tools/lsi_lint.py enforces
-/// both). Evaluates to true when the point should inject a failure.
+/// [a-z0-9_.]+, unique across the tree — the fault-point rule of
+/// tools/lsi_lint.py enforces both). Evaluates to true when the point
+/// should inject a failure.
 #define LSI_FAULT_POINT(name)                                     \
   ([]() -> bool {                                                 \
     static ::lsi::fault::FaultPoint* const lsi_fault_point =      \

@@ -12,7 +12,7 @@
 ///
 /// Every lsi::Mutex member in src/ must be constructed with
 /// LSI_LOCK_RANK("<subsystem>.<name>", lock_rank::kConstant) using a
-/// constant from this table; tools/lsi_structcheck.py enforces that
+/// constant from this table; tools/lsi_lint.py enforces that
 /// statically (mutex-rank, rank-unique, rank-table rules) and the
 /// runtime detector (src/dbg/lock_tracker.h, LSI_DEADLOCK_DETECT=1)
 /// enforces the ordering dynamically.

@@ -2,7 +2,7 @@
 #define LSI_DBG_LOCK_TRACKER_H_
 
 /// Runtime lock-order analysis (the "runtime side" of the two-sided
-/// deadlock gate; tools/lsi_structcheck.py is the static side).
+/// deadlock gate; tools/lsi_lint.py is the static side).
 ///
 /// Every lsi::Mutex may carry a LockRankInfo — a process-unique name
 /// plus an integer rank, declared at the member with LSI_LOCK_RANK

@@ -28,13 +28,6 @@ Status OverloadStatus() {
   return Status::FailedPrecondition(kOverloadMessage);
 }
 
-HttpResponse JsonOk(std::string body) {
-  HttpResponse response;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
 /// Maps an engine/service Status to the HTTP response for it.
 HttpResponse StatusToResponse(const Status& status) {
   if (status.message() == kDeadlineMessage) {
@@ -53,51 +46,6 @@ HttpResponse StatusToResponse(const Status& status) {
     default:
       return JsonError(500, status.message());
   }
-}
-
-JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
-  JsonValue::Array items;
-  items.reserve(hits.size());
-  for (const core::EngineHit& hit : hits) {
-    JsonValue::Object fields;
-    fields.emplace_back("document",
-                        JsonValue(static_cast<double>(hit.document)));
-    fields.emplace_back("name", JsonValue(hit.document_name));
-    fields.emplace_back("score", JsonValue(hit.score));
-    items.emplace_back(std::move(fields));
-  }
-  return JsonValue(std::move(items));
-}
-
-/// Extracts an optional positive-integer top_k from a parsed body.
-/// Returns false (with `*error` set) on a malformed value.
-bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
-                 std::size_t max_top_k, std::size_t* top_k,
-                 std::string* error) {
-  *top_k = default_top_k;
-  const JsonValue* field = body.Find("top_k");
-  if (field == nullptr) return true;
-  const double raw = field->number();
-  if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
-      raw > static_cast<double>(max_top_k)) {
-    *error = "top_k must be an integer in [1, " + std::to_string(max_top_k) +
-             "]";
-    return false;
-  }
-  *top_k = static_cast<std::size_t>(raw);
-  return true;
-}
-
-HttpResponse MethodNotAllowed(const char* allow) {
-  HttpResponse response = JsonError(405, "method not allowed");
-  response.extra_headers.emplace_back("Allow", allow);
-  return response;
-}
-
-HttpResponse RetryLater(std::string_view message) {
-  HttpResponse response = JsonError(503, message);
-  response.extra_headers.emplace_back("Retry-After", "1");
-  return response;
 }
 
 /// HTTP mapping for live-write Statuses. FailedPrecondition means the
@@ -147,6 +95,56 @@ HttpResponse JsonError(int status, std::string_view message) {
   response.status = status;
   response.content_type = "application/json; charset=utf-8";
   response.body = "{\"error\":" + JsonQuote(message) + "}";
+  return response;
+}
+
+HttpResponse JsonOk(std::string body) {
+  HttpResponse response;
+  response.content_type = "application/json; charset=utf-8";
+  response.body = std::move(body);
+  return response;
+}
+
+JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
+  JsonValue::Array items;
+  items.reserve(hits.size());
+  for (const core::EngineHit& hit : hits) {
+    JsonValue::Object fields;
+    fields.emplace_back("document",
+                        JsonValue(static_cast<double>(hit.document)));
+    fields.emplace_back("name", JsonValue(hit.document_name));
+    fields.emplace_back("score", JsonValue(hit.score));
+    items.emplace_back(std::move(fields));
+  }
+  return JsonValue(std::move(items));
+}
+
+bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
+                 std::size_t max_top_k, std::size_t* top_k,
+                 std::string* error) {
+  *top_k = default_top_k;
+  const JsonValue* field = body.Find("top_k");
+  if (field == nullptr) return true;
+  const double raw = field->number();
+  if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
+      raw > static_cast<double>(max_top_k)) {
+    *error = "top_k must be an integer in [1, " + std::to_string(max_top_k) +
+             "]";
+    return false;
+  }
+  *top_k = static_cast<std::size_t>(raw);
+  return true;
+}
+
+HttpResponse MethodNotAllowed(const char* allow) {
+  HttpResponse response = JsonError(405, "method not allowed");
+  response.extra_headers.emplace_back("Allow", allow);
+  return response;
+}
+
+HttpResponse RetryLater(std::string_view message) {
+  HttpResponse response = JsonError(503, message);
+  response.extra_headers.emplace_back("Retry-After", "1");
   return response;
 }
 

@@ -6,12 +6,15 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/engine.h"
 #include "live/live_engine.h"
 #include "live/wal.h"
 #include "serve/batcher.h"
 #include "serve/http.h"
+#include "serve/json.h"
 #include "serve/query_cache.h"
 
 namespace lsi::serve {
@@ -115,6 +118,26 @@ class LsiService {
 
 /// {"error": "<message>"} with the right content type.
 HttpResponse JsonError(int status, std::string_view message);
+
+/// 200 with a JSON `body`.
+HttpResponse JsonOk(std::string body);
+
+/// 405 naming the `allow`ed method.
+HttpResponse MethodNotAllowed(const char* allow);
+
+/// 503 with `Retry-After: 1`.
+HttpResponse RetryLater(std::string_view message);
+
+/// Renders hits as [{"document", "name", "score"}, ...]. The shard
+/// router renders its merged hits with this same function, which is what
+/// keeps a routed answer byte-identical to an unsharded one.
+JsonValue HitsToJson(const std::vector<core::EngineHit>& hits);
+
+/// Extracts an optional positive-integer top_k from a parsed body.
+/// Returns false (with `*error` set) on a malformed value.
+bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
+                 std::size_t max_top_k, std::size_t* top_k,
+                 std::string* error);
 
 }  // namespace lsi::serve
 

@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -20,46 +19,14 @@
 namespace lsi::shard {
 namespace {
 
+using serve::HitsToJson;
+using serve::JsonOk;
+using serve::MethodNotAllowed;
+using serve::RetryLater;
 using std::chrono::steady_clock;
 
-serve::HttpResponse RetryLater(std::string_view message) {
-  serve::HttpResponse response = serve::JsonError(503, message);
-  response.extra_headers.emplace_back("Retry-After", "1");
-  return response;
-}
-
-serve::HttpResponse MethodNotAllowed(const char* allow) {
-  serve::HttpResponse response = serve::JsonError(405, "method not allowed");
-  response.extra_headers.emplace_back("Allow", allow);
-  return response;
-}
-
-serve::HttpResponse JsonOk(std::string body) {
-  serve::HttpResponse response;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
-/// Same rendering as LsiService's hits (field order included): the
-/// router's full-result body must be byte-identical to what a single
-/// unsharded server would have answered.
-serve::JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
-  serve::JsonValue::Array items;
-  items.reserve(hits.size());
-  for (const core::EngineHit& hit : hits) {
-    serve::JsonValue::Object fields;
-    fields.emplace_back("document",
-                        serve::JsonValue(static_cast<double>(hit.document)));
-    fields.emplace_back("name", serve::JsonValue(hit.document_name));
-    fields.emplace_back("score", serve::JsonValue(hit.score));
-    items.emplace_back(std::move(fields));
-  }
-  return serve::JsonValue(std::move(items));
-}
-
 /// Parses one backend hits array back into EngineHits (the inverse of
-/// HitsToJson). False on shape mismatch.
+/// serve::HitsToJson). False on shape mismatch.
 bool ParseHits(const serve::JsonValue& array,
                std::vector<core::EngineHit>* out) {
   if (!array.is_array()) return false;
@@ -121,6 +88,7 @@ struct ShardTask {
   bool hedged = false;
   bool done = false;
   bool ok = false;
+  int client_error = 0;
   std::string body;
 };
 
@@ -262,15 +230,10 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
     return serve::JsonError(400, "request body must be a JSON object");
   }
   std::size_t top_k = options_.default_top_k;
-  if (const serve::JsonValue* field = body->Find("top_k")) {
-    const double raw = field->number();
-    if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
-        raw > static_cast<double>(options_.max_top_k)) {
-      return serve::JsonError(400, "top_k must be an integer in [1, " +
-                                       std::to_string(options_.max_top_k) +
-                                       "]");
-    }
-    top_k = static_cast<std::size_t>(raw);
+  std::string top_k_error;
+  if (!serve::ExtractTopK(*body, options_.default_top_k, options_.max_top_k,
+                          &top_k, &top_k_error)) {
+    return serve::JsonError(400, top_k_error);
   }
   const serve::JsonValue* single = body->Find("query");
   const serve::JsonValue* multi = body->Find("queries");
@@ -322,6 +285,15 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
       serve::JsonValue(std::move(forward)).Serialize();
 
   const std::vector<ShardOutcome> outcomes = Scatter(forward_body, deadline);
+  // A backend's 4xx judges the request itself, which every shard would
+  // reject alike: relay it instead of merging around it.
+  for (const ShardOutcome& outcome : outcomes) {
+    if (outcome.client_error != 0) {
+      serve::HttpResponse response = JsonOk(outcome.body);
+      response.status = outcome.client_error;
+      return response;
+    }
+  }
 
   // Gather: parse each surviving shard's lists, then merge per query.
   // per_query[q][shard] is shard's ranked list for query q.
@@ -618,6 +590,15 @@ std::vector<Router::ShardOutcome> Router::Scatter(
               for (auto& other : task.attempts) {
                 if (other.get() != &attempt) other->fetch.Abort();
               }
+            } else if (response.status >= 400 && response.status < 500) {
+              // The backend rejected the request, not the other way
+              // round: a final answer, so no breaker failure, no retry
+              // and no hedge. Otherwise a client's bad requests would
+              // eject healthy backends.
+              task.done = true;
+              task.client_error = response.status;
+              task.body = response.body;
+              for (auto& other : task.attempts) other->fetch.Abort();
             } else {
               RecordOutcome(s, attempt.replica, false,
                             response.retry_after_ms, 0.0);
@@ -669,6 +650,7 @@ std::vector<Router::ShardOutcome> Router::Scatter(
       task.done = true;
     }
     outcomes[s].ok = task.ok;
+    outcomes[s].client_error = task.client_error;
     outcomes[s].body = std::move(task.body);
   }
   return outcomes;

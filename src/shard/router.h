@@ -115,6 +115,9 @@ class Router {
   /// One shard's result from a scatter.
   struct ShardOutcome {
     bool ok = false;
+    /// A backend's 4xx status, relayed to the client with `body`; 0 if
+    /// no backend rejected the request.
+    int client_error = 0;
     std::string body;
   };
 

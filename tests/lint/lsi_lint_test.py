@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Self-test for tools/lsi_lint.py.
 
-Builds a throwaway repo tree of good/bad fixture snippets and asserts
-that every rule fires where it should, stays quiet where it should not,
-and that the allowlist both suppresses findings and reports stale
-entries. Runs under ctest as `lsi_lint_selftest`.
+Builds throwaway repo trees of good/bad fixture snippets and asserts
+that every rule — line and structural — fires where it should, stays
+quiet where it should not, that the allowlist both suppresses findings
+and reports stale entries, and that the real tree is clean. Runs under
+ctest as `lsi_lint_selftest`.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,17 @@ import unittest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 LINTER = os.path.join(REPO_ROOT, "tools", "lsi_lint.py")
+
+RANK_TABLE = (
+    "#ifndef LSI_COMMON_LOCK_RANKS_H_\n"
+    "#define LSI_COMMON_LOCK_RANKS_H_\n"
+    "#define LSI_LOCK_RANK(name, rank) nullptr\n"
+    "namespace lsi::lock_rank {\n"
+    "inline constexpr int kLiveWrite = 24;\n"
+    "inline constexpr int kObsMetrics = 70;\n"
+    "}  // namespace lsi::lock_rank\n"
+    "#endif  // LSI_COMMON_LOCK_RANKS_H_\n"
+)
 
 
 def run_lint(root, extra_args=()):
@@ -57,6 +70,21 @@ class LintFixture(unittest.TestCase):
     def test_clean_tree_passes(self):
         self.write("src/core/good.h", header("src/core/good.h", "int F();"))
         self.write("src/core/good.cc", "int F() { return 1; }\n")
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/engine.h",
+            header(
+                "src/live/engine.h",
+                '#include "common/lock_ranks.h"\n'
+                '#include "common/mutex.h"\n'
+                "class Engine {\n"
+                "  Mutex write_mutex_{\n"
+                '      LSI_LOCK_RANK("live.engine.write", '
+                "lock_rank::kLiveWrite)};\n"
+                "  int pending_ LSI_GUARDED_BY(write_mutex_) = 0;\n"
+                "};",
+            ),
+        )
         code, findings = run_lint(self.root)
         self.assertEqual(code, 0, findings)
         self.assertEqual(findings, [])
@@ -86,7 +114,10 @@ class LintFixture(unittest.TestCase):
         code, findings = run_lint(self.root)
         self.assertEqual(code, 1)
         self.assertEqual(self.rules_for(findings, "src/core/bad.cc"), ["no-raw-random"])
-        self.assertEqual(self.rules_for(findings, "src/sample/bad2.cc"), ["no-raw-random"])
+        # src/sample/ is not in the layering DAG, so it is a finding too.
+        self.assertEqual(
+            self.rules_for(findings, "src/sample/bad2.cc"), ["layering", "no-raw-random"]
+        )
         self.assertEqual(self.rules_for(findings, "src/common/rng.cc"), [])
 
     def test_no_raw_thread_fires_outside_par(self):
@@ -237,7 +268,7 @@ class LintFixture(unittest.TestCase):
         code, findings = run_lint(self.root)
         self.assertEqual(code, 0, findings)
 
-    def test_lock_rank_required_on_mutex_declarations(self):
+    def test_mutex_rank_required_on_mutex_declarations(self):
         self.write(
             "src/core/bad.h",
             header(
@@ -257,11 +288,47 @@ class LintFixture(unittest.TestCase):
         )
         code, findings = run_lint(self.root)
         self.assertEqual(code, 1)
-        self.assertEqual(self.rules_for(findings, "src/core/bad.h"), ["lock-rank"])
-        self.assertIn("LSI_LOCK_RANK", findings[0]["message"])
-        self.assertEqual(self.rules_for(findings, "src/core/ok.h"), [])
+        # Neither fixture annotates any state, so both also lack a guard.
+        self.assertEqual(
+            self.rules_for(findings, "src/core/bad.h"), ["mutex-guard", "mutex-rank"]
+        )
+        (rank,) = [f for f in findings if f["rule"] == "mutex-rank"]
+        self.assertIn("LSI_LOCK_RANK", rank["message"])
+        self.assertEqual(self.rules_for(findings, "src/core/ok.h"), ["mutex-guard"])
 
-    def test_lock_rank_ignores_references_locks_and_comments(self):
+    def test_mutex_rank_covers_every_declaration_shape(self):
+        self.write(
+            "src/core/shapes.h",
+            header(
+                "src/core/shapes.h",
+                "class C {\n"
+                "  Mutex eq_ = Mutex();\n"  # line 4: assignment form
+                "  Mutex later_{\n"  # line 5: rank too far below
+                "      // the rank follows\n"
+                "      // further down\n"
+                '      LSI_LOCK_RANK("core.later", lock_rank::kCoreLater)};\n'
+                "  Mutex bare_;\n"  # line 9: the next line's rank is not its own
+                '  Mutex next_{LSI_LOCK_RANK("core.next", lock_rank::kCoreNext)};\n'
+                "  Mutex multi_{  // LSI_LOCK_RANK only in a comment\n"  # line 11
+                "      nullptr};\n"
+                "  Mutex\n"
+                '      split_{LSI_LOCK_RANK("core.split", lock_rank::kCoreSplit)};\n'
+                + "".join(
+                    f"  int {m}x_ LSI_GUARDED_BY({m}_) = 0;\n"
+                    for m in ("eq", "later", "bare", "next", "multi", "split")
+                )
+                + "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(
+            sorted((f["rule"], f["line"]) for f in findings),
+            [("mutex-rank", 4), ("mutex-rank", 5), ("mutex-rank", 9),
+             ("mutex-rank", 11)],
+        )
+
+    def test_mutex_rank_ignores_references_locks_and_comments(self):
         self.write(
             "src/core/ok.cc",
             "void F(Mutex& mu) {\n"
@@ -389,20 +456,35 @@ class LintFixture(unittest.TestCase):
 
     def test_allowlist_suppresses_and_reports_stale_entries(self):
         self.write("src/serve/threads.cc", "std::thread t([] {});\n")
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/lonely.h",
+            header(
+                "src/obs/lonely.h",
+                "class L {\n"
+                "  Mutex m_{\n"
+                '      LSI_LOCK_RANK("obs.metrics", lock_rank::kObsMetrics)};\n'
+                "};",
+            ),
+        )
         allow = os.path.join(self.root, "allow.txt")
         with open(allow, "w", encoding="utf-8") as fh:
             fh.write(
                 "# service threads are intentional\n"
                 "no-raw-thread src/serve/threads.cc\n"
+                "mutex-guard src/obs/lonely.h\n"
             )
         code, findings = run_lint(self.root, ("--allowlist", allow))
         self.assertEqual(code, 0, findings)
 
         with open(allow, "a", encoding="utf-8") as fh:
             fh.write("no-throw src/gone/nothing.cc\n")
+            fh.write("layering src/gone/nothing.cc\n")
         code, findings = run_lint(self.root, ("--allowlist", allow))
         self.assertEqual(code, 1)
-        self.assertEqual([f["rule"] for f in findings], ["stale-allowlist"])
+        self.assertEqual(
+            [f["rule"] for f in findings], ["stale-allowlist", "stale-allowlist"]
+        )
 
     def test_single_file_invocation_skips_staleness_check(self):
         self.write("src/serve/threads.cc", "std::thread t([] {});\n")
@@ -417,19 +499,214 @@ class LintFixture(unittest.TestCase):
 
     def test_findings_are_machine_readable(self):
         self.write("src/core/bad.cc", "void F() { throw 1; }\n")
+        self.write("src/common/bad.cc", '#include "serve/server.h"\n')
         code, findings = run_lint(self.root)
         self.assertEqual(code, 1)
-        (finding,) = findings
-        self.assertEqual(
-            sorted(finding), ["line", "message", "path", "rule", "snippet"]
+        self.assertEqual(sorted(f["rule"] for f in findings), ["layering", "no-throw"])
+        for finding in findings:
+            self.assertEqual(
+                sorted(finding), ["line", "message", "path", "rule", "snippet"]
+            )
+            self.assertEqual(finding["line"], 1)
+
+    def test_layering_violation_reported_with_allowed_list(self):
+        # common is the second-lowest layer: including serve from it
+        # inverts the DAG.
+        self.write("src/common/bad.cc", '#include "serve/server.h"\n')
+        # live -> core is a legal downward edge.
+        self.write("src/live/ok.cc", '#include "core/engine.h"\n')
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/common/bad.cc"), ["layering"])
+        self.assertEqual(self.rules_for(findings, "src/live/ok.cc"), [])
+        (f,) = [f for f in findings if f["path"] == "src/common/bad.cc"]
+        self.assertIn('"common" may not depend on "serve"', f["message"])
+
+    def test_unknown_subsystem_is_a_layering_finding(self):
+        self.write("src/newsub/thing.cc", "int F() { return 1; }\n")
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/newsub/thing.cc"), ["layering"])
+        self.assertIn("ALLOWED_DEPS", findings[0]["message"])
+
+    def test_same_subsystem_and_unknown_includes_are_fine(self):
+        self.write(
+            "src/core/engine.cc",
+            '#include "core/index.h"\n#include <vector>\n'
+            '#include "gtest/gtest.h"\n',
         )
-        self.assertEqual(finding["line"], 1)
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def test_unranked_mutex_member_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/registry.h",
+            header(
+                "src/obs/registry.h",
+                "class Registry {\n"
+                "  mutable Mutex mutex_;\n"
+                "  int value_ LSI_GUARDED_BY(mutex_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/obs/registry.h"), ["mutex-rank"])
+        self.assertEqual(findings[0]["line"], 4)  # after the two guard lines
+        self.assertIn("LSI_LOCK_RANK", findings[0]["message"])
+
+    def test_mutex_without_guarded_by_user_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/obs/registry.h",
+            header(
+                "src/obs/registry.h",
+                "class Registry {\n"
+                "  mutable Mutex mutex_{\n"
+                '      LSI_LOCK_RANK("obs.metrics", lock_rank::kObsMetrics)};\n'
+                "  int value_ = 0;  // oops: unannotated\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/obs/registry.h"), ["mutex-guard"])
+
+    def test_mutex_references_and_wrapper_header_do_not_match(self):
+        self.write(
+            "src/common/mutex.h",
+            header("src/common/mutex.h", "class Mutex { std::mutex mu_; };"),
+        )
+        self.write("src/core/user.cc", "void F(Mutex& mu) { MutexLock lock(mu); }\n")
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def test_numeric_literal_rank_reported(self):
+        # The deliberately inverted pair from tests/dbg/dbg_test.cc,
+        # as it would look if someone hard-coded it in src/: numeric
+        # ranks bypass the table and are exactly how an inconsistent
+        # AB/BA assignment slips in.
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/bad.h",
+            header(
+                "src/live/bad.h",
+                "class Bad {\n"
+                '  Mutex a_{LSI_LOCK_RANK("live.bad.a", 10)};\n'
+                "  int x_ LSI_GUARDED_BY(a_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/live/bad.h"), ["rank-table"])
+
+    def test_unknown_rank_constant_reported(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/live/bad.h",
+            header(
+                "src/live/bad.h",
+                "class Bad {\n"
+                '  Mutex a_{LSI_LOCK_RANK("live.bad.a", lock_rank::kNope)};\n'
+                "  int x_ LSI_GUARDED_BY(a_) = 0;\n"
+                "};",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual(self.rules_for(findings, "src/live/bad.h"), ["rank-table"])
+        self.assertIn("kNope", findings[0]["message"])
+
+    def test_duplicate_rank_names_reported_on_full_runs_only(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        body = (
+            "class C {\n"
+            '  Mutex m_{LSI_LOCK_RANK("live.dup", lock_rank::kLiveWrite)};\n'
+            "  int x_ LSI_GUARDED_BY(m_) = 0;\n"
+            "};"
+        )
+        self.write("src/live/a.h", header("src/live/a.h", body))
+        self.write("src/live/b.h", header("src/live/b.h", body))
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 1)
+        self.assertEqual([f["rule"] for f in findings], ["rank-unique"])
+        self.assertIn("live.dup", findings[0]["message"])
+        # Single-file runs cannot see the other site.
+        code, findings = run_lint(self.root, ("src/live/a.h",))
+        self.assertEqual(code, 0, findings)
+
+    def test_rank_macro_in_comments_is_ignored(self):
+        self.write("src/common/lock_ranks.h", RANK_TABLE)
+        self.write(
+            "src/core/doc.h",
+            header(
+                "src/core/doc.h",
+                '// e.g. Mutex m_{LSI_LOCK_RANK("x", 3)}; would be rejected\n'
+                "int F();",
+            ),
+        )
+        code, findings = run_lint(self.root)
+        self.assertEqual(code, 0, findings)
+
+    def write_compile_commands(self, *files):
+        cc_path = os.path.join(self.root, "compile_commands.json")
+        with open(cc_path, "w", encoding="utf-8") as fh:
+            json.dump(
+                [
+                    {"directory": self.root, "file": f, "command": f"c++ -c {f}"}
+                    for f in files
+                ],
+                fh,
+            )
+        return cc_path
+
+    def test_compile_coverage_reports_unbuilt_sources(self):
+        self.write("src/core/built.cc", "int F() { return 1; }\n")
+        self.write("src/core/orphan.cc", "int G() { return 2; }\n")
+        cc_path = self.write_compile_commands("src/core/built.cc")
+        code, findings = run_lint(self.root, ("--compile-commands", cc_path))
+        self.assertEqual(code, 1)
+        self.assertEqual(
+            self.rules_for(findings, "src/core/orphan.cc"), ["compile-coverage"]
+        )
+        self.assertEqual(self.rules_for(findings, "src/core/built.cc"), [])
+
+    def test_compile_coverage_allowlist_entries_are_never_stale(self):
+        self.write("src/core/built.cc", "int F() { return 1; }\n")
+        cc_path = self.write_compile_commands("src/core/built.cc")
+        allow = os.path.join(self.root, "allow.txt")
+        with open(allow, "w", encoding="utf-8") as fh:
+            fh.write("compile-coverage src/linalg/simd/simd_neon.cc\n")
+        code, findings = run_lint(
+            self.root, ("--allowlist", allow, "--compile-commands", cc_path)
+        )
+        self.assertEqual(code, 0, findings)
 
 
 class RealTreeIsClean(unittest.TestCase):
     def test_repo_passes_its_own_lint(self):
         code, findings = run_lint(REPO_ROOT)
         self.assertEqual(code, 0, findings)
+
+    def test_repo_rank_constants_match_macro_sites(self):
+        # Every rank constant in the table is referenced by at least one
+        # LSI_LOCK_RANK site — the table cannot grow dead rows silently.
+        table_path = os.path.join(REPO_ROOT, "src", "common", "lock_ranks.h")
+        with open(table_path, encoding="utf-8") as fh:
+            constants = set(re.findall(r"inline constexpr int (k\w+)", fh.read()))
+        self.assertTrue(constants)
+        used = set()
+        for dirpath, _, filenames in os.walk(os.path.join(REPO_ROOT, "src")):
+            for name in filenames:
+                if not name.endswith((".h", ".cc")):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    used.update(re.findall(r"lock_rank::(k\w+)", fh.read()))
+        self.assertEqual(
+            constants - used, set(), "unused rank constants in lock_ranks.h"
+        )
 
 
 if __name__ == "__main__":

@@ -250,6 +250,47 @@ TEST_F(RouterTest, ValidatesRequestBodies) {
   b0.Stop();
 }
 
+TEST_F(RouterTest, BackendClientErrorIsRelayedWithoutEjectingReplicas) {
+  Backend b0(set_->shard(0));
+  Backend b1(set_->shard(1));
+  b0.Start();
+  b1.Start();
+  RouterOptions options = BaseRouterOptions();
+  options.shards = {{b0.address()}, {b1.address()}};
+  Router router(std::move(options));
+  ASSERT_TRUE(router.Start().ok());
+
+  // One query more than a backend accepts per request: the router
+  // forwards it, every backend answers 400, and that 400 is the answer —
+  // a client's bad request says nothing about backend health.
+  const std::size_t too_many =
+      serve::ServiceOptions().max_queries_per_request + 1;
+  std::string oversized = R"({"queries": [)";
+  for (std::size_t i = 0; i < too_many; ++i) {
+    oversized += (i == 0 ? "" : ", ") + std::string(R"("moon")");
+  }
+  oversized += "]}";
+  for (int i = 0; i < 3; ++i) {
+    serve::HttpResponse response =
+        router.Handle(QueryRequest(oversized), Soon());
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_NE(response.body.find("queries length"), std::string::npos)
+        << response.body;
+  }
+  EXPECT_EQ(router.ReplicaState(0, 0), BreakerState::kHealthy);
+  EXPECT_EQ(router.ReplicaState(1, 0), BreakerState::kHealthy);
+
+  const std::string valid =
+      R"({"query": "astronauts near the moon", "top_k": 3})";
+  serve::HttpResponse response = router.Handle(QueryRequest(valid), Soon());
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(response.body, BaselineBody(valid));
+
+  router.Stop();
+  b0.Stop();
+  b1.Stop();
+}
+
 TEST_F(RouterTest, DegradePolicyAnswersOverSurvivingShards) {
   Backend b0(set_->shard(0));
   b0.Start();

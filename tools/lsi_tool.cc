@@ -89,9 +89,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -207,19 +212,32 @@ int CommandIndex(int argc, char** argv) {
   return 0;
 }
 
-int CommandQuery(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  auto engine = lsi::core::LsiEngine::Load(argv[2]);
+/// Loads the engine at `path`; prints the error and returns nullopt on
+/// failure, so callers just exit 1.
+std::optional<lsi::core::LsiEngine> LoadEngine(const char* path) {
+  auto engine = lsi::core::LsiEngine::Load(path);
   if (!engine.ok()) {
     std::fprintf(stderr, "load: %s\n", engine.status().ToString().c_str());
-    return 1;
+    return std::nullopt;
   }
-  std::string query;
-  for (int i = 3; i < argc; ++i) {
-    if (!query.empty()) query += ' ';
-    query += argv[i];
+  return std::move(engine).value();
+}
+
+/// argv[first..argc) joined with single spaces (the query text).
+std::string JoinArgs(int argc, char** argv, int first) {
+  std::string joined;
+  for (int i = first; i < argc; ++i) {
+    if (!joined.empty()) joined += ' ';
+    joined += argv[i];
   }
-  auto hits = engine->Query(query, 10);
+  return joined;
+}
+
+int CommandQuery(int argc, char** argv) {
+  if (argc < 4) return Usage();
+  auto engine = LoadEngine(argv[2]);
+  if (!engine) return 1;
+  auto hits = engine->Query(JoinArgs(argc, argv, 3), 10);
   if (!hits.ok()) {
     std::fprintf(stderr, "query: %s\n", hits.status().ToString().c_str());
     return 1;
@@ -236,11 +254,8 @@ int CommandQuery(int argc, char** argv) {
 
 int CommandSimilar(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto engine = lsi::core::LsiEngine::Load(argv[2]);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "load: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  auto engine = LoadEngine(argv[2]);
+  if (!engine) return 1;
   std::size_t document = std::strtoul(argv[3], nullptr, 10);
   auto hits = engine->MoreLikeThis(document, 10);
   if (!hits.ok()) {
@@ -258,11 +273,8 @@ int CommandSimilar(int argc, char** argv) {
 
 int CommandRelated(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto engine = lsi::core::LsiEngine::Load(argv[2]);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "load: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  auto engine = LoadEngine(argv[2]);
+  if (!engine) return 1;
   auto related = engine->RelatedTerms(argv[3], 10);
   if (!related.ok()) {
     std::fprintf(stderr, "related: %s\n",
@@ -278,11 +290,8 @@ int CommandRelated(int argc, char** argv) {
 
 int CommandInfo(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto engine = lsi::core::LsiEngine::Load(argv[2]);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "load: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  auto engine = LoadEngine(argv[2]);
+  if (!engine) return 1;
   std::printf("documents: %zu\nterms:     %zu\nrank:      %zu\nsimd:      %s\n",
               engine->NumDocuments(), engine->NumTerms(), engine->rank(),
               lsi::linalg::simd::PathName(lsi::linalg::simd::ActivePath()));
@@ -362,18 +371,10 @@ int CommandLockGraph() {
 int CommandStats(int argc, char** argv,
                  lsi::obs::ExportFormat* dump_format) {
   if (argc < 3) return Usage();
-  auto engine = lsi::core::LsiEngine::Load(argv[2]);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "load: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
+  auto engine = LoadEngine(argv[2]);
+  if (!engine) return 1;
   if (argc > 3) {
-    std::string query;
-    for (int i = 3; i < argc; ++i) {
-      if (!query.empty()) query += ' ';
-      query += argv[i];
-    }
-    auto hits = engine->Query(query, 10);
+    auto hits = engine->Query(JoinArgs(argc, argv, 3), 10);
     if (!hits.ok()) {
       std::fprintf(stderr, "query: %s\n", hits.status().ToString().c_str());
       return 1;
@@ -799,34 +800,26 @@ int main(int argc, char** argv) {
   char** args_data = args.data();
 
   if (args_count < 2) return Usage();
-  int code;
-  if (std::strcmp(args_data[1], "index") == 0) {
-    code = CommandIndex(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "query") == 0) {
-    code = CommandQuery(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "similar") == 0) {
-    code = CommandSimilar(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "related") == 0) {
-    code = CommandRelated(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "info") == 0) {
-    code = CommandInfo(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "simd") == 0) {
-    code = CommandSimd();
-  } else if (std::strcmp(args_data[1], "lockgraph") == 0) {
-    code = CommandLockGraph();
-  } else if (std::strcmp(args_data[1], "stats") == 0) {
-    code = CommandStats(args_count, args_data, &dump_format);
-  } else if (std::strcmp(args_data[1], "serve") == 0) {
-    code = CommandServe(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "route") == 0) {
-    code = CommandRoute(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "add") == 0) {
-    code = CommandAdd(args_count, args_data);
-  } else if (std::strcmp(args_data[1], "compact") == 0) {
-    code = CommandCompact(args_count, args_data);
-  } else {
-    return Usage();
-  }
+  const std::pair<std::string_view, std::function<int()>> commands[] = {
+      {"index", [&] { return CommandIndex(args_count, args_data); }},
+      {"query", [&] { return CommandQuery(args_count, args_data); }},
+      {"similar", [&] { return CommandSimilar(args_count, args_data); }},
+      {"related", [&] { return CommandRelated(args_count, args_data); }},
+      {"info", [&] { return CommandInfo(args_count, args_data); }},
+      {"simd", CommandSimd},
+      {"lockgraph", CommandLockGraph},
+      {"stats",
+       [&] { return CommandStats(args_count, args_data, &dump_format); }},
+      {"serve", [&] { return CommandServe(args_count, args_data); }},
+      {"route", [&] { return CommandRoute(args_count, args_data); }},
+      {"add", [&] { return CommandAdd(args_count, args_data); }},
+      {"compact", [&] { return CommandCompact(args_count, args_data); }},
+  };
+  const auto command = std::find_if(
+      std::begin(commands), std::end(commands),
+      [&](const auto& entry) { return entry.first == args_data[1]; });
+  if (command == std::end(commands)) return Usage();
+  const int code = command->second();
 
   if (code == 0 && dump_format != lsi::obs::ExportFormat::kNone) {
     std::string rendered = lsi::obs::Export(dump_format);
