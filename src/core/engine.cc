@@ -30,18 +30,19 @@ constexpr std::uint64_t kFormatVersion = 2;
 
 }  // namespace
 
-LsiEngine::LsiEngine(LsiIndex index, text::WeightingScheme weighting,
-                     std::vector<std::string> terms,
-                     std::vector<double> global_weights,
-                     std::vector<std::string> document_names)
-    : index_(std::move(index)),
-      weighting_(weighting),
-      terms_(std::move(terms)),
-      global_weights_(std::move(global_weights)),
-      document_names_(std::move(document_names)) {
-  for (std::size_t t = 0; t < terms_.size(); ++t) {
-    term_ids_.emplace(terms_[t], t);
+LsiEngine::LsiEngine(LsiIndex index, Shared shared)
+    : index_(std::move(index)) {
+  for (std::size_t t = 0; t < shared.terms.size(); ++t) {
+    shared.term_ids.emplace(shared.terms[t], t);
   }
+  shared_ = std::make_shared<const Shared>(std::move(shared));
+}
+
+const std::string* LsiEngine::FindName(std::size_t document) const {
+  const std::vector<std::string>& built = shared_->document_names;
+  if (document < built.size()) return &built[document];
+  document -= built.size();
+  return document < folded_names_.size() ? &folded_names_[document] : nullptr;
 }
 
 Result<LsiEngine> LsiEngine::Build(const text::Corpus& corpus,
@@ -73,10 +74,12 @@ Result<LsiEngine> LsiEngine::Build(const text::Corpus& corpus,
   for (std::size_t d = 0; d < corpus.NumDocuments(); ++d) {
     document_names.push_back(corpus.document(d).name());
   }
-  return LsiEngine(std::move(index), options.weighting,
-                   corpus.vocabulary().terms(),
-                   text::ComputeGlobalWeights(corpus, options.weighting),
-                   std::move(document_names));
+  return LsiEngine(
+      std::move(index),
+      {.weighting = options.weighting,
+       .terms = corpus.vocabulary().terms(),
+       .global_weights = text::ComputeGlobalWeights(corpus, options.weighting),
+       .document_names = std::move(document_names)});
 }
 
 Result<std::vector<EngineHit>> LsiEngine::ToHits(
@@ -85,10 +88,10 @@ Result<std::vector<EngineHit>> LsiEngine::ToHits(
   std::vector<EngineHit> hits;
   hits.reserve(results->size());
   for (const SearchResult& r : results.value()) {
-    std::string name = r.document < document_names_.size()
-                           ? document_names_[r.document]
-                           : "folded" + std::to_string(r.document);
-    hits.push_back({std::move(name), r.document, r.score});
+    const std::string* name = FindName(r.document);
+    hits.push_back({name != nullptr ? *name
+                                    : "folded" + std::to_string(r.document),
+                    r.document, r.score});
   }
   return hits;
 }
@@ -112,8 +115,8 @@ Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
     {
       obs::ScopedSpan span("weight");
       for (const auto& [term, count] : counts) {
-        query[term] =
-            text::LocalTermWeight(weighting_, count) * global_weights_[term];
+        query[term] = text::LocalTermWeight(weighting(), count) *
+                      shared_->global_weights[term];
       }
     }
     // LsiIndex::Search opens the "score" child span.
@@ -127,9 +130,9 @@ Result<std::vector<EngineHit>> LsiEngine::Query(std::string_view query_text,
 std::vector<std::pair<std::size_t, std::size_t>> LsiEngine::AnalyzeQueryCounts(
     std::string_view query_text) const {
   std::map<std::size_t, std::size_t> counts;
-  for (const std::string& token : analyzer_.Analyze(query_text)) {
-    auto it = term_ids_.find(token);
-    if (it != term_ids_.end()) counts[it->second]++;
+  for (const std::string& token : shared_->analyzer.Analyze(query_text)) {
+    auto it = shared_->term_ids.find(token);
+    if (it != shared_->term_ids.end()) counts[it->second]++;
   }
   return {counts.begin(), counts.end()};  // std::map iterates sorted by id.
 }
@@ -168,36 +171,8 @@ Result<std::vector<EngineHit>> LsiEngine::MoreLikeThis(
   if (document >= NumDocuments()) {
     return Status::OutOfRange("MoreLikeThis: document index out of range");
   }
-  linalg::DenseVector latent = index_.DocumentVector(document);
-  const auto& all = index_.document_vectors();
-  const std::size_t k = all.cols();
-  // Guard degenerate (near-zero) latent vectors — see LsiIndex::Search.
-  double max_norm = 0.0;
-  std::vector<double> norms(NumDocuments(), 0.0);
-  for (std::size_t d = 0; d < NumDocuments(); ++d) {
-    norms[d] = std::sqrt(linalg::simd::SquaredNorm(all.RowPtr(d), k));
-    max_norm = std::max(max_norm, norms[d]);
-  }
-  const double floor = 1e-12 * max_norm;
-  std::vector<double> scores(NumDocuments(), -2.0);
-  double self_norm = latent.Norm();
-  for (std::size_t d = 0; d < NumDocuments(); ++d) {
-    if (d == document) continue;  // Excluded via sentinel score.
-    if (self_norm <= floor || norms[d] <= floor) {
-      scores[d] = 0.0;
-      continue;
-    }
-    scores[d] = linalg::simd::Dot(latent.data(), all.RowPtr(d), k) /
-                (self_norm * norms[d]);
-  }
-  auto ranked = RankScores(scores, top_k == 0 ? 0 : top_k + 1);
-  ranked.erase(std::remove_if(ranked.begin(), ranked.end(),
-                              [&](const SearchResult& r) {
-                                return r.document == document;
-                              }),
-               ranked.end());
-  if (top_k != 0 && ranked.size() > top_k) ranked.resize(top_k);
-  return ToHits(std::move(ranked));
+  return ToHits(
+      index_.SearchLatent(index_.DocumentVector(document), top_k, document));
 }
 
 Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
@@ -206,13 +181,13 @@ Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
   obs::MetricsRegistry::Global()
       .GetCounter("lsi.engine.related_terms_calls")
       .Increment();
-  std::vector<std::string> analyzed = analyzer_.Analyze(term);
+  std::vector<std::string> analyzed = shared_->analyzer.Analyze(term);
   if (analyzed.size() != 1) {
     return Status::InvalidArgument(
         "RelatedTerms expects a single content word");
   }
-  auto it = term_ids_.find(analyzed[0]);
-  if (it == term_ids_.end()) {
+  auto it = shared_->term_ids.find(analyzed[0]);
+  if (it == shared_->term_ids.end()) {
     return Status::NotFound("term not in the corpus: " + analyzed[0]);
   }
   const std::size_t anchor = it->second;
@@ -243,7 +218,7 @@ Result<std::vector<RelatedTerm>> LsiEngine::RelatedTerms(
   related.reserve(ranked.size());
   for (const SearchResult& r : ranked) {
     if (r.score <= -2.0) continue;
-    related.push_back({terms_[r.document], r.score});
+    related.push_back({shared_->terms[r.document], r.score});
   }
   return related;
 }
@@ -252,13 +227,13 @@ Result<LsiEngine::FoldInResult> LsiEngine::FoldInDocument(
     std::string_view name, std::string_view text) {
   linalg::DenseVector vec(NumTerms(), 0.0);
   for (const auto& [term, count] : AnalyzeQueryCounts(text)) {
-    vec[term] = text::LocalTermWeight(weighting_, count) *
-                global_weights_[term];
+    vec[term] = text::LocalTermWeight(weighting(), count) *
+                shared_->global_weights[term];
   }
   FoldInResult result;
   LSI_ASSIGN_OR_RETURN(result.document,
                        index_.FoldInDocument(vec, &result.residual_angle));
-  document_names_.emplace_back(name);
+  folded_names_.emplace_back(name);
   return result;
 }
 
@@ -267,10 +242,11 @@ Status LsiEngine::RemoveDocument(std::size_t document) {
 }
 
 Result<std::string> LsiEngine::DocumentName(std::size_t document) const {
-  if (document >= document_names_.size()) {
+  const std::string* name = FindName(document);
+  if (name == nullptr) {
     return Status::OutOfRange("DocumentName: index out of range");
   }
-  return document_names_[document];
+  return *name;
 }
 
 Status LsiEngine::Save(const std::string& path) const {
@@ -286,16 +262,17 @@ Status LsiEngine::Save(const std::string& path) const {
   LSI_RETURN_IF_ERROR(writer.WriteU64(kFormatVersion));
   writer.BeginSection();
   LSI_RETURN_IF_ERROR(
-      writer.WriteU64(static_cast<std::uint64_t>(weighting_)));
-  LSI_RETURN_IF_ERROR(writer.WriteU64(terms_.size()));
-  for (const std::string& term : terms_) {
+      writer.WriteU64(static_cast<std::uint64_t>(weighting())));
+  LSI_RETURN_IF_ERROR(writer.WriteU64(shared_->terms.size()));
+  for (const std::string& term : shared_->terms) {
     LSI_RETURN_IF_ERROR(writer.WriteString(term));
   }
-  LSI_RETURN_IF_ERROR(
-      writer.WriteDoubles(global_weights_.data(), global_weights_.size()));
-  LSI_RETURN_IF_ERROR(writer.WriteU64(document_names_.size()));
-  for (const std::string& name : document_names_) {
-    LSI_RETURN_IF_ERROR(writer.WriteString(name));
+  LSI_RETURN_IF_ERROR(writer.WriteDoubles(shared_->global_weights.data(),
+                                          shared_->global_weights.size()));
+  LSI_RETURN_IF_ERROR(writer.WriteU64(shared_->document_names.size() +
+                                      folded_names_.size()));
+  for (std::size_t d = 0; FindName(d) != nullptr; ++d) {
+    LSI_RETURN_IF_ERROR(writer.WriteString(*FindName(d)));
   }
   LSI_RETURN_IF_ERROR(writer.EndSection());
   LSI_RETURN_IF_ERROR(index_.WriteTo(writer));
@@ -361,10 +338,12 @@ Result<LsiEngine> LsiEngine::Load(const std::string& path) {
     return Status::InvalidArgument(
         "LsiEngine metadata does not match its embedded index");
   }
-  return LsiEngine(std::move(index),
-                   static_cast<text::WeightingScheme>(weighting_raw),
-                   std::move(terms), std::move(global_weights),
-                   std::move(document_names));
+  return LsiEngine(
+      std::move(index),
+      {.weighting = static_cast<text::WeightingScheme>(weighting_raw),
+       .terms = std::move(terms),
+       .global_weights = std::move(global_weights),
+       .document_names = std::move(document_names)});
 }
 
 std::vector<EngineHit> MergeTopKHits(

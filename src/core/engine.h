@@ -1,6 +1,7 @@
 #ifndef LSI_CORE_ENGINE_H_
 #define LSI_CORE_ENGINE_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,6 +41,8 @@ struct LsiEngineOptions {
 /// per-term global weights needed to score free-text queries — with
 /// one-call persistence. This is the class a downstream application
 /// embeds; the lower-level pieces stay available for research use.
+/// Like LsiIndex, a copy shares what Build/Load produced and owns only
+/// what changed since: fold-ins (rows and names) and tombstones.
 class LsiEngine {
  public:
   /// Builds an engine over an analyzed corpus. The rank is clamped to
@@ -50,7 +53,7 @@ class LsiEngine {
   std::size_t NumTerms() const { return index_.NumTerms(); }
   std::size_t NumDocuments() const { return index_.NumDocuments(); }
   std::size_t rank() const { return index_.rank(); }
-  text::WeightingScheme weighting() const { return weighting_; }
+  text::WeightingScheme weighting() const { return shared_->weighting; }
 
   /// Analyzes `query_text` with the same pipeline as the corpus, weights
   /// it consistently, and returns the best `top_k` documents by latent
@@ -77,7 +80,7 @@ class LsiEngine {
       const std::vector<std::string>& queries, std::size_t top_k = 10) const;
 
   /// Ranks documents similar to an already-indexed document ("more like
-  /// this"). The document itself is excluded from the results.
+  /// this"). The document itself and tombstoned ones are excluded.
   Result<std::vector<EngineHit>> MoreLikeThis(std::size_t document,
                                               std::size_t top_k = 10) const;
 
@@ -108,8 +111,8 @@ class LsiEngine {
                                       std::string_view text);
 
   /// Tombstones `document` (see LsiIndex::MarkDeleted): it stops
-  /// appearing in Query/QueryBatch results. The name is retained so
-  /// historical ids keep resolving.
+  /// appearing in any results. The name is retained so historical ids
+  /// keep resolving.
   Status RemoveDocument(std::size_t document);
 
   /// Persists the engine as one file: vocabulary, global weights,
@@ -125,20 +128,26 @@ class LsiEngine {
   const LsiIndex& index() const { return index_; }
 
  private:
-  LsiEngine(LsiIndex index, text::WeightingScheme weighting,
-            std::vector<std::string> terms, std::vector<double> global_weights,
-            std::vector<std::string> document_names);
+  // What Build/Load produce; shared by every copy, never written after.
+  struct Shared {
+    text::WeightingScheme weighting;
+    text::Analyzer analyzer = text::Analyzer();
+    std::vector<std::string> terms;  // Term id -> string.
+    std::unordered_map<std::string, std::size_t> term_ids = {};
+    std::vector<double> global_weights;  // Per-term idf/entropy factor.
+    std::vector<std::string> document_names;
+  };
+
+  LsiEngine(LsiIndex index, Shared shared);
 
   Result<std::vector<EngineHit>> ToHits(
       Result<std::vector<SearchResult>> results) const;
+  const std::string* FindName(std::size_t document) const;
 
   LsiIndex index_;
-  text::WeightingScheme weighting_;
-  text::Analyzer analyzer_;
-  std::vector<std::string> terms_;  // Term id -> string.
-  std::unordered_map<std::string, std::size_t> term_ids_;
-  std::vector<double> global_weights_;  // Per-term idf/entropy factor.
-  std::vector<std::string> document_names_;
+  std::shared_ptr<const Shared> shared_;
+  // Owned by this copy: names of documents folded in since Build/Load.
+  std::vector<std::string> folded_names_;
 };
 
 /// Merges per-source ranked hit lists into one list ranked the way

@@ -24,10 +24,17 @@ constexpr std::uint64_t kFormatVersion = 2;
 
 Status LsiIndex::WriteTo(Writer& writer) const {
   LSI_RETURN_IF_ERROR(writer.WriteU64(kFormatVersion));
-  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd_.u));
-  LSI_RETURN_IF_ERROR(WriteDenseVectorBody(writer, svd_.singular_values));
-  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd_.v));
-  return WriteDenseMatrixBody(writer, document_vectors_);
+  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd().u));
+  LSI_RETURN_IF_ERROR(WriteDenseVectorBody(writer, svd().singular_values));
+  LSI_RETURN_IF_ERROR(WriteDenseMatrixBody(writer, svd().v));
+  // A dense-matrix body over every row; tombstoned rows go out as zeros.
+  writer.BeginSection();
+  LSI_RETURN_IF_ERROR(writer.WriteU64(NumDocuments()));
+  LSI_RETURN_IF_ERROR(writer.WriteU64(rank()));
+  for (std::size_t j = 0; j < NumDocuments(); ++j) {
+    LSI_RETURN_IF_ERROR(writer.WriteDoubles(DocumentVector(j).data(), rank()));
+  }
+  return writer.EndSection();
 }
 
 Result<LsiIndex> LsiIndex::ReadFrom(Reader& reader) {

@@ -45,37 +45,32 @@ Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
 
 }  // namespace
 
-LsiIndex::LsiIndex(linalg::SvdResult svd) : svd_(std::move(svd)) {
-  obs::ScopedSpan span("project");
-  // Document vectors: V_k D_k (row j = sigma-weighted coordinates of
-  // document j in the latent space).
-  const std::size_t m = svd_.v.rows();
-  const std::size_t k = svd_.rank();
-  document_vectors_ = linalg::DenseMatrix(m, k);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t i = 0; i < k; ++i) {
-      document_vectors_(j, i) = svd_.v(j, i) * svd_.singular_values[i];
+LsiIndex::LsiIndex(linalg::SvdResult svd,
+                   linalg::DenseMatrix document_vectors) {
+  auto built = std::make_shared<Built>();
+  const std::size_t k = svd.rank();
+  if (document_vectors.rows() == 0) {
+    obs::ScopedSpan span("project");
+    // Document vectors: V_k D_k (row j = sigma-weighted coordinates of
+    // document j in the latent space).
+    document_vectors = linalg::DenseMatrix(svd.v.rows(), k);
+    for (std::size_t j = 0; j < svd.v.rows(); ++j) {
+      for (std::size_t i = 0; i < k; ++i) {
+        document_vectors(j, i) = svd.v(j, i) * svd.singular_values[i];
+      }
     }
   }
-  RecomputeDocumentNorms();
-}
-
-LsiIndex::LsiIndex(linalg::SvdResult svd,
-                   linalg::DenseMatrix document_vectors)
-    : svd_(std::move(svd)), document_vectors_(std::move(document_vectors)) {
-  RecomputeDocumentNorms();
-}
-
-void LsiIndex::RecomputeDocumentNorms() {
-  document_norms_.assign(document_vectors_.rows(), 0.0);
-  deleted_.assign(document_vectors_.rows(), 0);
-  num_deleted_ = 0;
-  max_document_norm_ = 0.0;
-  for (std::size_t j = 0; j < document_vectors_.rows(); ++j) {
-    document_norms_[j] = std::sqrt(linalg::simd::SquaredNorm(
-        document_vectors_.RowPtr(j), document_vectors_.cols()));
-    max_document_norm_ = std::max(max_document_norm_, document_norms_[j]);
+  built->svd = std::move(svd);
+  built->document_vectors = std::move(document_vectors);
+  const std::size_t m = built->document_vectors.rows();
+  built->document_norms.resize(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    built->document_norms[j] = std::sqrt(linalg::simd::SquaredNorm(
+        built->document_vectors.RowPtr(j), k));
+    max_document_norm_ = std::max(max_document_norm_, built->document_norms[j]);
   }
+  built_ = std::move(built);
+  deleted_.assign(m, 0);
 }
 
 Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
@@ -133,7 +128,7 @@ Result<std::size_t> LsiIndex::FoldInDocument(
         "FoldInDocument: vector dimension must equal the number of terms");
   }
   linalg::DenseVector folded =
-      linalg::MultiplyTranspose(svd_.u, term_vector);
+      linalg::MultiplyTranspose(svd().u, term_vector);
   if (residual_angle != nullptr) {
     // U_k has orthonormal columns, so ||U_k^T d|| is the length of d's
     // projection onto span(U_k) and the residual angle is
@@ -148,9 +143,9 @@ Result<std::size_t> LsiIndex::FoldInDocument(
       *residual_angle = std::acos(ratio);
     }
   }
-  document_vectors_.AppendRow(folded);
-  document_norms_.push_back(folded.Norm());
-  max_document_norm_ = std::max(max_document_norm_, document_norms_.back());
+  folded_vectors_.AppendRow(folded);
+  folded_norms_.push_back(folded.Norm());
+  max_document_norm_ = std::max(max_document_norm_, folded_norms_.back());
   deleted_.push_back(0);
   return NumDocuments() - 1;
 }
@@ -159,40 +154,41 @@ Status LsiIndex::MarkDeleted(std::size_t j) {
   if (j >= NumDocuments()) {
     return Status::OutOfRange("MarkDeleted: document index out of range");
   }
-  if (deleted_.size() < NumDocuments()) deleted_.resize(NumDocuments(), 0);
-  if (deleted_[j] != 0) return Status::OK();
+  num_deleted_ += deleted_[j] == 0 ? 1 : 0;
   deleted_[j] = 1;
-  ++num_deleted_;
-  const std::size_t k = document_vectors_.cols();
-  for (std::size_t i = 0; i < k; ++i) document_vectors_(j, i) = 0.0;
-  const bool was_max = document_norms_[j] >= max_document_norm_;
-  document_norms_[j] = 0.0;
-  if (was_max) {
-    max_document_norm_ = 0.0;
-    for (double norm : document_norms_) {
-      max_document_norm_ = std::max(max_document_norm_, norm);
-    }
-  }
   return Status::OK();
 }
 
 double LsiIndex::SingularValue(std::size_t i) const {
-  LSI_CHECK(i < svd_.rank());
-  return svd_.singular_values[i];
+  LSI_CHECK(i < rank());
+  return svd().singular_values[i];
+}
+
+const double* LsiIndex::Row(std::size_t j) const {
+  const std::size_t built = built_->document_vectors.rows();
+  return j < built ? built_->document_vectors.RowPtr(j)
+                   : folded_vectors_.RowPtr(j - built);
+}
+
+double LsiIndex::RowNorm(std::size_t j) const {
+  const std::size_t built = built_->document_norms.size();
+  return j < built ? built_->document_norms[j] : folded_norms_[j - built];
 }
 
 linalg::DenseVector LsiIndex::DocumentVector(std::size_t j) const {
   LSI_CHECK(j < NumDocuments());
-  return document_vectors_.Row(j);
+  linalg::DenseVector vector(rank(), 0.0);
+  if (!IsDeleted(j)) std::copy(Row(j), Row(j) + rank(), vector.data());
+  return vector;
 }
 
 linalg::DenseMatrix LsiIndex::TermVectors() const {
-  const std::size_t n = svd_.u.rows();
-  const std::size_t k = svd_.rank();
+  const std::size_t n = NumTerms();
+  const std::size_t k = rank();
   linalg::DenseMatrix term_vectors(n, k);
   for (std::size_t t = 0; t < n; ++t) {
     for (std::size_t i = 0; i < k; ++i) {
-      term_vectors(t, i) = svd_.u(t, i) * svd_.singular_values[i];
+      term_vectors(t, i) = svd().u(t, i) * svd().singular_values[i];
     }
   }
   return term_vectors;
@@ -204,48 +200,63 @@ Result<linalg::DenseVector> LsiIndex::FoldInQuery(
     return Status::InvalidArgument(
         "FoldInQuery: query dimension must equal the number of terms");
   }
-  return linalg::MultiplyTranspose(svd_.u, query);
+  return linalg::MultiplyTranspose(svd().u, query);
 }
 
 Result<std::vector<SearchResult>> LsiIndex::Search(
     const linalg::DenseVector& query, std::size_t top_k) const {
   obs::ScopedSpan span("score");
   LSI_ASSIGN_OR_RETURN(linalg::DenseVector folded, FoldInQuery(query));
+  // A query orthogonal to the latent subspace folds to a numerically
+  // zero vector; cosines against it are rounding noise, so it scores 0.
+  return Rank(folded, 1e-12 * query.Norm(), SIZE_MAX, top_k);
+}
+
+Result<std::vector<SearchResult>> LsiIndex::SearchLatent(
+    const linalg::DenseVector& latent, std::size_t top_k,
+    std::size_t exclude) const {
+  if (latent.size() != rank()) {
+    return Status::InvalidArgument(
+        "SearchLatent: vector dimension must equal the rank");
+  }
+  return Rank(latent, 1e-12 * max_document_norm_, exclude, top_k);
+}
+
+std::vector<SearchResult> LsiIndex::Rank(const linalg::DenseVector& latent,
+                                         double latent_floor,
+                                         std::size_t exclude,
+                                         std::size_t top_k) const {
+  // Slot s scores live document ids[s]. The ids ascend, so the stable
+  // sort in RankScores yields (score desc, id asc) — the order the whole
+  // index ranks in, which is what makes shard merges exact.
   const std::size_t m = NumDocuments();
-  const std::size_t k = document_vectors_.cols();
-  std::vector<double> scores(m, 0.0);
-  // Documents (or queries) orthogonal to the latent subspace fold to
-  // numerically-zero vectors; cosines against those are rounding noise,
-  // so they score 0 instead. Norms are cached at build/fold-in time.
+  std::vector<std::size_t> ids;
+  ids.reserve(m - num_deleted_);
+  for (std::size_t j = 0; j < m; ++j) {
+    if (deleted_[j] == 0 && j != exclude) ids.push_back(j);
+  }
+  const std::size_t k = rank();
+  std::vector<double> scores(ids.size(), 0.0);
+  // Rows that fold to numerically nothing score 0 too (norms are cached).
   const double doc_floor = 1e-12 * max_document_norm_;
-  const double query_floor = 1e-12 * query.Norm();
-  double folded_norm = folded.Norm();
-  if (folded_norm > query_floor) {
-    // Row-parallel over disjoint score slots; each cosine reads one
-    // contiguous V_k D_k row through the SIMD dot kernel. The grain
-    // depends only on k, so the partition — and the scores — are
-    // identical at every LSI_THREADS setting.
-    const std::size_t grain =
-        std::max<std::size_t>(64, (1 << 16) / std::max<std::size_t>(1, k));
-    par::ParallelFor(0, m, grain, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t j = begin; j < end; ++j) {
-        if (document_norms_[j] <= doc_floor) continue;
-        scores[j] =
-            linalg::simd::Dot(folded.data(), document_vectors_.RowPtr(j), k) /
-            (folded_norm * document_norms_[j]);
+  const double latent_norm = latent.Norm();
+  if (latent_norm > latent_floor) {
+    // Slot-parallel over disjoint score slots; each cosine reads one
+    // contiguous V_k D_k row through the SIMD dot kernel, so a score
+    // never depends on the partition or on LSI_THREADS.
+    const std::size_t grain = std::max<std::size_t>(64, (1 << 16) / k);
+    par::ParallelFor(0, ids.size(), grain,
+                     [&](std::size_t begin, std::size_t end) {
+      for (std::size_t s = begin; s < end; ++s) {
+        const double norm = RowNorm(ids[s]);
+        if (norm <= doc_floor) continue;
+        scores[s] = linalg::simd::Dot(latent.data(), Row(ids[s]), k) /
+                    (latent_norm * norm);
       }
     });
   }
-  if (num_deleted_ == 0) return RankScores(scores, top_k);
-  // Tombstoned documents must not appear at all (their zeroed vectors
-  // already score 0): rank everything, drop them, then truncate.
-  std::vector<SearchResult> ranked = RankScores(scores, 0);
-  ranked.erase(std::remove_if(ranked.begin(), ranked.end(),
-                              [&](const SearchResult& r) {
-                                return deleted_[r.document] != 0;
-                              }),
-               ranked.end());
-  if (top_k != 0 && ranked.size() > top_k) ranked.resize(top_k);
+  std::vector<SearchResult> ranked = RankScores(scores, top_k);
+  for (SearchResult& r : ranked) r.document = ids[r.document];
   return ranked;
 }
 

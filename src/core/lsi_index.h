@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -59,6 +60,9 @@ struct LsiOptions {
 /// V_k D_k (equivalently U_k^T a_j). Queries are folded into the same
 /// space by q |-> U_k^T q, and retrieval ranks documents by cosine
 /// similarity in the latent space.
+/// Copies share what Build/Load produced (factors, rows, norms) and own
+/// only the rows folded in since and a one-byte-per-document tombstone
+/// mask; a copy that tombstones most documents scores only the rest.
 class LsiIndex {
  public:
   /// Builds the index from a sparse term-document matrix (rows terms,
@@ -77,23 +81,23 @@ class LsiIndex {
   /// factor shapes.
   static Result<LsiIndex> FromSvd(linalg::SvdResult svd);
 
-  std::size_t rank() const { return svd_.rank(); }
-  std::size_t NumTerms() const { return svd_.u.rows(); }
+  std::size_t rank() const { return built_->svd.rank(); }
+  std::size_t NumTerms() const { return built_->svd.u.rows(); }
 
-  /// Number of searchable documents, including any folded-in after the
-  /// build (so this can exceed svd().v.rows()).
-  std::size_t NumDocuments() const { return document_vectors_.rows(); }
+  /// Number of document ids, including fold-ins after the build (so this
+  /// can exceed svd().v.rows()) and tombstoned documents.
+  std::size_t NumDocuments() const { return deleted_.size(); }
 
   /// The i-th retained singular value.
   double SingularValue(std::size_t i) const;
 
-  /// Document representations: row j is document j's latent vector
-  /// (V_k D_k, so dimensions are k).
+  /// The rows Build/Load produced: row j is document j's latent vector
+  /// (V_k D_k, dimension k). DocumentVector(j) also sees later changes.
   const linalg::DenseMatrix& document_vectors() const {
-    return document_vectors_;
+    return built_->document_vectors;
   }
 
-  /// Copy of document j's latent vector.
+  /// Copy of document j's latent vector (zero once j is tombstoned).
   linalg::DenseVector DocumentVector(std::size_t j) const;
 
   /// Term representations: row t is term t's latent vector (U_k D_k).
@@ -105,10 +109,17 @@ class LsiIndex {
   Result<linalg::DenseVector> FoldInQuery(
       const linalg::DenseVector& query) const;
 
-  /// Ranks all documents by cosine similarity to `query` (a term-space
+  /// Ranks all live documents by cosine similarity to `query` (a term-space
   /// vector) in the latent space; returns the best `top_k` (all if 0).
   Result<std::vector<SearchResult>> Search(const linalg::DenseVector& query,
                                            std::size_t top_k = 0) const;
+
+  /// Search() for a vector already in the latent space (dimension k),
+  /// skipping document `exclude`. Like a document, the vector scores
+  /// nothing when its norm is at most 1e-12 of the largest row norm.
+  Result<std::vector<SearchResult>> SearchLatent(
+      const linalg::DenseVector& latent, std::size_t top_k = 0,
+      std::size_t exclude = SIZE_MAX) const;
 
   /// Folds a new document into the existing latent space WITHOUT
   /// recomputing the SVD (the classic LSI "folding-in" update): the
@@ -128,14 +139,14 @@ class LsiIndex {
 
   /// Number of documents folded in since the build.
   std::size_t NumFoldedDocuments() const {
-    return NumDocuments() - svd_.v.rows();
+    return NumDocuments() - svd().v.rows();
   }
 
-  /// Tombstones document `j`: zeroes its latent vector so it can never
-  /// score, and excludes it from Search results entirely. Idempotent.
-  /// Deletion marks are an in-memory overlay — Save() writes the zeroed
-  /// row but not the flag (rebuild the overlay from the system of
-  /// record, e.g. the live layer's WAL, after Load()).
+  /// Tombstones document `j`: sets its mask byte, so it is excluded from
+  /// every ranking and its vector reads as zero. Other documents' scores
+  /// do not change. Idempotent. Deletion marks are an in-memory overlay —
+  /// Save() writes the row as zeros but not the flag (rebuild the overlay
+  /// from the system of record, e.g. the live layer's WAL, after Load()).
   Status MarkDeleted(std::size_t j);
 
   /// True when document `j` has been tombstoned by MarkDeleted().
@@ -166,23 +177,36 @@ class LsiIndex {
   static Result<LsiIndex> ReadFrom(linalg::io_internal::Reader& reader);
 
   /// The underlying truncated SVD.
-  const linalg::SvdResult& svd() const { return svd_; }
+  const linalg::SvdResult& svd() const { return built_->svd; }
 
  private:
-  explicit LsiIndex(linalg::SvdResult svd);
-  LsiIndex(linalg::SvdResult svd, linalg::DenseMatrix document_vectors);
+  // What Build/Load produce; shared by every copy, never written after.
+  struct Built {
+    linalg::SvdResult svd;
+    linalg::DenseMatrix document_vectors;
+    std::vector<double> document_norms;
+  };
 
-  void RecomputeDocumentNorms();
+  // Empty `document_vectors` projects V_k D_k from the factors.
+  explicit LsiIndex(linalg::SvdResult svd,
+                    linalg::DenseMatrix document_vectors = {});
 
-  linalg::SvdResult svd_;
-  // m x k = V_k D_k at build time, plus one row per folded-in document.
-  linalg::DenseMatrix document_vectors_;
-  // Cached row norms of document_vectors_ and their maximum, used to
-  // zero out documents that fold to numerically-nothing.
-  std::vector<double> document_norms_;
+  const double* Row(std::size_t j) const;
+  double RowNorm(std::size_t j) const;
+  // The one scoring loop: ranks live documents other than `exclude` by
+  // cosine to `latent`, which scores 0 unless its norm exceeds the floor.
+  std::vector<SearchResult> Rank(const linalg::DenseVector& latent,
+                                 double latent_floor, std::size_t exclude,
+                                 std::size_t top_k) const;
+
+  std::shared_ptr<const Built> built_;
+  // Owned by this copy: rows folded in since Build/Load and their norms.
+  linalg::DenseMatrix folded_vectors_;
+  std::vector<double> folded_norms_;
+  // Max row norm, used to zero out documents that fold to nothing. It
+  // never falls on delete, so a delete cannot move another's score.
   double max_document_norm_ = 0.0;
-  // Tombstone overlay: deleted_[j] != 0 excludes document j from
-  // results. Not serialized (see MarkDeleted).
+  // Tombstone mask, one byte per id (not serialized; see MarkDeleted).
   std::vector<std::uint8_t> deleted_;
   std::size_t num_deleted_ = 0;
 };

@@ -100,13 +100,9 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Open(
   return live;
 }
 
-std::shared_ptr<const core::LsiEngine> LiveEngine::SnapshotInternal() const {
+std::shared_ptr<const core::LsiEngine> LiveEngine::Snapshot() const {
   MutexLock lock(snapshot_mutex_);
   return snapshot_;
-}
-
-std::shared_ptr<const core::LsiEngine> LiveEngine::Snapshot() const {
-  return SnapshotInternal();
 }
 
 Status LiveEngine::ValidateWrite(WalOp op, const std::string& name,
@@ -136,24 +132,26 @@ Status LiveEngine::ValidateWrite(WalOp op, const std::string& name,
 
 void LiveEngine::EnsurePendingLocked() {
   if (pending_ != nullptr) return;
-  std::shared_ptr<const core::LsiEngine> current = SnapshotInternal();
-  pending_ = std::make_unique<core::LsiEngine>(*current);
+  pending_ = std::make_unique<core::LsiEngine>(*Snapshot());
 }
 
-void LiveEngine::PublishLocked() {
-  unpublished_ = 0;
-  if (pending_ == nullptr) return;
-  std::shared_ptr<const core::LsiEngine> next(std::move(pending_));
+void LiveEngine::SwapSnapshotLocked(std::unique_ptr<core::LsiEngine> next) {
   {
     MutexLock lock(snapshot_mutex_);
     snapshot_ = std::move(next);
   }
   const std::uint64_t epoch =
       epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  obs::MetricsRegistry::Global().GetGauge("lsi.live.epoch").Set(
+      static_cast<double>(epoch));
+}
+
+void LiveEngine::PublishLocked() {
+  unpublished_ = 0;
+  if (pending_ == nullptr) return;
+  SwapSnapshotLocked(std::move(pending_));
   ++publishes_;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("lsi.live.publishes").Increment();
-  registry.GetGauge("lsi.live.epoch").Set(static_cast<double>(epoch));
+  obs::MetricsRegistry::Global().GetCounter("lsi.live.publishes").Increment();
 }
 
 Result<WriteReceipt> LiveEngine::ApplyLocked(const WalRecord& record) {
@@ -172,7 +170,6 @@ Result<WriteReceipt> LiveEngine::ApplyLocked(const WalRecord& record) {
       for (std::size_t id : it->second) {
         LSI_RETURN_IF_ERROR(pending_->RemoveDocument(id));
         alive_[doc_corpus_[id]] = 0;
-        ++tombstones_;
       }
       receipt.removed = it->second.size();
       by_name_.erase(it);
@@ -440,7 +437,6 @@ Status LiveEngine::RunRefresh() {
 
   doc_corpus_ = std::move(doc_corpus);
   by_name_ = std::move(by_name);
-  tombstones_ = fresh->index().NumDeleted();
   pending_.reset();
   unpublished_ = 0;
   drift_sum_ = drift_sum;
@@ -450,16 +446,8 @@ Status LiveEngine::RunRefresh() {
   refresh_delta_.clear();
   refresh_in_progress_ = false;
   ++refreshes_;
-
-  std::shared_ptr<const core::LsiEngine> next(std::move(fresh));
-  {
-    MutexLock snapshot_lock(snapshot_mutex_);
-    snapshot_ = std::move(next);
-  }
-  const std::uint64_t epoch =
-      epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  SwapSnapshotLocked(std::move(fresh));
   registry.GetCounter("lsi.live.refreshes").Increment();
-  registry.GetGauge("lsi.live.epoch").Set(static_cast<double>(epoch));
   registry.GetGauge("lsi.live.drift_mean_radians")
       .Set(drift_count > 0 ? drift_sum / static_cast<double>(drift_count)
                            : 0.0);
@@ -509,7 +497,8 @@ LiveStats LiveEngine::stats() const {
   stats.wal_records = wal_ != nullptr ? wal_->record_count() : 0;
   stats.documents = static_cast<std::size_t>(
       std::count(alive_.begin(), alive_.end(), std::uint8_t{1}));
-  stats.tombstones = tombstones_;
+  stats.tombstones =
+      (pending_ ? pending_->index() : Snapshot()->index()).NumDeleted();
   stats.folded_since_refresh = folded_since_refresh_;
   stats.pending_writes = unpublished_;
   stats.drift_mean_radians =

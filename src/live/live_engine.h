@@ -27,9 +27,9 @@ struct LiveOptions {
   core::LsiEngineOptions engine;
 
   /// Writes per snapshot publish. 1 means every acknowledged write is
-  /// immediately visible to queries; larger values amortize the
-  /// copy-on-write clone across a batch (writes stay durable the moment
-  /// they are acknowledged — publishing only delays visibility).
+  /// immediately visible to queries; larger values publish a batch as one
+  /// epoch (writes stay durable the moment they are acknowledged —
+  /// publishing only delays visibility).
   std::size_t publish_every = 1;
 
   /// Mean fold-in residual angle (radians) past which the refresher
@@ -109,9 +109,10 @@ text::Corpus CompactCorpus(const text::Corpus& corpus,
 ///     Queries NEVER block on writers or on a running re-SVD.
 ///   - Writers serialize on an internal write lock. Each write is
 ///     (1) appended + fsynced to the WAL (the acknowledgement point),
-///     (2) folded into a pending copy-on-write engine clone, and
+///     (2) applied to a pending copy of the current snapshot, and
 ///     (3) published by atomically swapping the snapshot pointer once
-///     `publish_every` writes have accumulated.
+///     `publish_every` writes have accumulated. The copy shares the built
+///     index and owns only fold-ins and tombstones (see core::LsiEngine).
 ///   - A background thread tracks the mean fold-in residual angle (the
 ///     paper's subspace-perturbation quantity) and, past the threshold,
 ///     rebuilds the SVD from the accumulated corpus WITHOUT holding the
@@ -206,11 +207,12 @@ class LiveEngine {
       LSI_REQUIRES(write_mutex_);
   void EnsurePendingLocked() LSI_REQUIRES(write_mutex_);
   void MaybeAutoCompactLocked() LSI_REQUIRES(write_mutex_);
+  void SwapSnapshotLocked(std::unique_ptr<core::LsiEngine> next)
+      LSI_REQUIRES(write_mutex_);
   void PublishLocked() LSI_REQUIRES(write_mutex_);
   bool ShouldRefreshLocked() const LSI_REQUIRES(write_mutex_);
   Status RunRefresh();
   void RefresherLoop();
-  std::shared_ptr<const core::LsiEngine> SnapshotInternal() const;
 
   const LiveOptions options_;
   const text::Analyzer analyzer_;
@@ -237,7 +239,7 @@ class LiveEngine {
   /// Live (non-tombstoned) engine ids by document name.
   std::unordered_map<std::string, std::vector<std::size_t>> by_name_
       LSI_GUARDED_BY(write_mutex_);
-  /// Copy-on-write clone the next publish will swap in; null when no
+  /// Copy of the snapshot the next publish will swap in; null when no
   /// writes are pending.
   std::unique_ptr<core::LsiEngine> pending_ LSI_GUARDED_BY(write_mutex_);
   std::size_t unpublished_ LSI_GUARDED_BY(write_mutex_) = 0;
@@ -245,7 +247,6 @@ class LiveEngine {
   double drift_max_ LSI_GUARDED_BY(write_mutex_) = 0.0;
   std::size_t drift_count_ LSI_GUARDED_BY(write_mutex_) = 0;
   std::size_t folded_since_refresh_ LSI_GUARDED_BY(write_mutex_) = 0;
-  std::size_t tombstones_ LSI_GUARDED_BY(write_mutex_) = 0;
   bool refresh_in_progress_ LSI_GUARDED_BY(write_mutex_) = false;
   std::vector<DeltaOp> refresh_delta_ LSI_GUARDED_BY(write_mutex_);
   std::string wal_path_ LSI_GUARDED_BY(write_mutex_);

@@ -15,9 +15,8 @@ Result<ShardSet> ShardSet::Build(const text::Corpus& corpus,
   if (options.num_shards == 0) {
     return Status::InvalidArgument("shard: num_shards must be >= 1");
   }
-  // One factorization for everyone: the per-shard engines are slices of
-  // the same latent space, not independent models (see the class
-  // comment for why).
+  // One factorization for everyone: the shards are copies of one engine,
+  // not independent models (see the class comment for why).
   LSI_ASSIGN_OR_RETURN(core::LsiEngine global,
                        core::LsiEngine::Build(corpus, options.engine));
   const std::size_t documents = global.NumDocuments();

@@ -149,6 +149,24 @@ TEST(LsiEngineTest, MoreLikeThisExcludesSelf) {
   }
 }
 
+TEST(LsiEngineTest, MoreLikeThisSkipsRemovedDocuments) {
+  auto engine = LsiEngine::Build(ThreeTopicCorpus(), SmallOptions());
+  ASSERT_TRUE(engine.ok());
+  auto before = engine->MoreLikeThis(0, 10);
+  ASSERT_TRUE(engine->RemoveDocument(3).ok());  // cars2.
+  auto after = engine->MoreLikeThis(0, 10);
+  ASSERT_TRUE(before.ok() && after.ok());
+  ASSERT_EQ(after->size(), 4u);
+  // The other documents keep their exact scores and order.
+  std::size_t i = 0;
+  for (const EngineHit& hit : before.value()) {
+    if (hit.document == 3) continue;
+    EXPECT_EQ((*after)[i].document, hit.document);
+    EXPECT_EQ((*after)[i].score, hit.score);
+    ++i;
+  }
+}
+
 TEST(LsiEngineTest, RelatedTermsFindTopicVocabulary) {
   auto engine = LsiEngine::Build(ThreeTopicCorpus(), SmallOptions());
   ASSERT_TRUE(engine.ok());

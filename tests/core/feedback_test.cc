@@ -123,5 +123,24 @@ TEST(SearchWithFeedbackTest, TopKRespected) {
   EXPECT_EQ(hits->size(), 7u);
 }
 
+TEST(SearchWithFeedbackTest, SkipsTombstonedDocuments) {
+  FeedbackFixture fx = FeedbackFixture::Make();
+  DenseVector query(fx.matrix.rows(), 0.0);
+  query[0] = 1.0;
+  auto before = SearchWithFeedback(fx.index, query);
+  ASSERT_TRUE(before.ok());
+  // Remove the last-ranked document: the first pass, and so the expanded
+  // query, stay the same, and every other score must too.
+  const std::size_t removed = before->back().document;
+  ASSERT_TRUE(fx.index.MarkDeleted(removed).ok());
+  auto after = SearchWithFeedback(fx.index, query);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), before->size() - 1);
+  for (std::size_t i = 0; i < after->size(); ++i) {
+    EXPECT_EQ((*after)[i].document, (*before)[i].document);
+    EXPECT_EQ((*after)[i].score, (*before)[i].score);
+  }
+}
+
 }  // namespace
 }  // namespace lsi::core

@@ -146,6 +146,88 @@ TEST(FoldInEdgeTest, FoldInIsDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(FoldInEdgeTest, SearchIsDeterministicAcrossThreadCounts) {
+  // k = 64 makes the scoring grain 1024 slots, so with 1500 built rows and
+  // 100 folded ones a grain spans the built/folded boundary; tombstones on
+  // both sides of it shift which ids each grain scores.
+  constexpr std::size_t kTerms = 80, kRank = 64, kBuilt = 1500;
+  Rng rng(2024);
+  linalg::SvdResult svd;
+  svd.u = linalg::DenseMatrix(kTerms, kRank);
+  svd.v = linalg::DenseMatrix(kBuilt, kRank);
+  svd.singular_values = DenseVector(kRank);
+  for (std::size_t i = 0; i < kRank; ++i) {
+    svd.singular_values[i] = static_cast<double>(kRank - i);
+    for (std::size_t t = 0; t < kTerms; ++t) svd.u(t, i) = rng.Uniform(-1, 1);
+    for (std::size_t j = 0; j < kBuilt; ++j) svd.v(j, i) = rng.Uniform(-1, 1);
+  }
+  auto built = LsiIndex::FromSvd(svd);
+  ASSERT_TRUE(built.ok());
+  LsiIndex index = *built;
+  for (std::size_t f = 0; f < 100; ++f) {
+    DenseVector doc(kTerms);
+    for (std::size_t t = 0; t < kTerms; ++t) doc[t] = rng.Uniform(0, 1);
+    ASSERT_TRUE(index.FoldInDocument(doc).ok());
+  }
+  const std::vector<std::size_t> deleted = {0, 7, 1023, 1499, 1500, 1599};
+  for (std::size_t j : deleted) ASSERT_TRUE(index.MarkDeleted(j).ok());
+  DenseVector query(kTerms);
+  for (std::size_t t = 0; t < kTerms; ++t) query[t] = rng.Uniform(0, 1);
+
+  const std::size_t restore = par::Threads();
+  std::vector<std::vector<SearchResult>> runs;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    par::SetThreads(threads);
+    for (std::size_t top_k : {std::size_t{0}, std::size_t{10}}) {
+      auto results = index.Search(query, top_k);
+      ASSERT_TRUE(results.ok());
+      runs.push_back(*results);
+    }
+  }
+  par::SetThreads(restore);
+  ASSERT_EQ(runs[0].size(), kBuilt + 100 - deleted.size());
+  for (const SearchResult& r : runs[0]) EXPECT_FALSE(index.IsDeleted(r.document));
+  for (std::size_t run = 0; run < 2; ++run) {
+    const auto& one = runs[run];
+    const auto& four = runs[run + 2];
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i].document, four[i].document) << "rank " << i;
+      EXPECT_EQ(one[i].score, four[i].score) << "rank " << i;
+    }
+  }
+}
+
+TEST(FoldInEdgeTest, DeletingTheLargestDocumentKeepsOthersScores) {
+  // Document 1 folds to numerically nothing next to document 0, so it
+  // scores 0. Deleting document 0 must not lower that floor: a shard is
+  // a copy plus MarkDeleted, so otherwise it would score document 1 where
+  // the unsharded index floors it.
+  linalg::SvdResult svd;
+  svd.u = linalg::DenseMatrix(2, 1);
+  svd.u(0, 0) = 1.0;
+  svd.singular_values = DenseVector(1, 1.0);
+  svd.v = linalg::DenseMatrix(2, 1);
+  svd.v(0, 0) = 1.0;
+  svd.v(1, 0) = 1e-13;
+  auto index = LsiIndex::FromSvd(svd);
+  ASSERT_TRUE(index.ok());
+  DenseVector query(2, 0.0);
+  query[0] = 1.0;
+  auto before = index->Search(query);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->size(), 2u);
+  EXPECT_EQ((*before)[1].document, 1u);
+  EXPECT_EQ((*before)[1].score, 0.0);
+
+  ASSERT_TRUE(index->MarkDeleted(0).ok());
+  auto after = index->Search(query);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), 1u);
+  EXPECT_EQ((*after)[0].document, 1u);
+  EXPECT_EQ((*after)[0].score, 0.0);
+}
+
 TEST(FoldInEdgeTest, MarkDeletedHidesFoldedDocument) {
   LsiIndex index = BuildSmall();
   DenseVector doc(6, 0.0);

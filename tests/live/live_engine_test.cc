@@ -179,14 +179,47 @@ TEST(LiveEngineTest, PublishEveryBatchesVisibility) {
 TEST(LiveEngineTest, SnapshotsAreImmutableAcrossWrites) {
   auto live = OpenFresh("live_pin.log");
   ASSERT_NE(live, nullptr);
+  const std::vector<std::string> queries = {"garlic pasta", "moon orbit",
+                                            "engine automobile"};
+  auto all_hits = [&](const core::LsiEngine& engine) {
+    std::vector<std::vector<core::EngineHit>> hits;
+    for (const std::string& q : queries) {
+      hits.push_back(engine.Query(q, 0).value());
+      hits.push_back(engine.MoreLikeThis(0, 0).value());
+    }
+    return hits;
+  };
   auto pinned = live->Snapshot();
   const std::size_t docs_before = pinned->NumDocuments();
+  const auto pinned_hits = all_hits(*pinned);
   ASSERT_TRUE(live->Add("new1", "completely new content here").ok());
   ASSERT_TRUE(live->Delete("food2").ok());
-  // The pinned snapshot still answers from its epoch.
+  // A second pin that already holds a folded row and a tombstone.
+  auto pinned_mid = live->Snapshot();
+  const auto mid_hits = all_hits(*pinned_mid);
+  ASSERT_TRUE(live->Update("space2", "garlic rocket pasta").ok());
+  ASSERT_TRUE(live->Delete("new1").ok());
+  ASSERT_TRUE(live->Add("new2", "the moon and the automobile").ok());
+  ASSERT_TRUE(live->Delete("cars1").ok());
+  // The pinned snapshots still answer from their epochs, bit for bit: no
+  // later delete, update or fold-in wrote into storage they share.
   EXPECT_EQ(pinned->NumDocuments(), docs_before);
   const std::vector<std::string> top = TopNames(*pinned, "garlic pasta", 6);
   EXPECT_NE(std::find(top.begin(), top.end(), "food2"), top.end());
+  for (const auto& [engine, expected] :
+       {std::pair{pinned.get(), &pinned_hits},
+        std::pair{pinned_mid.get(), &mid_hits}}) {
+    const auto actual = all_hits(*engine);
+    ASSERT_EQ(actual.size(), expected->size());
+    for (std::size_t q = 0; q < actual.size(); ++q) {
+      ASSERT_EQ(actual[q].size(), (*expected)[q].size());
+      for (std::size_t i = 0; i < actual[q].size(); ++i) {
+        EXPECT_EQ(actual[q][i].document_name, (*expected)[q][i].document_name);
+        EXPECT_EQ(actual[q][i].document, (*expected)[q][i].document);
+        EXPECT_EQ(actual[q][i].score, (*expected)[q][i].score);
+      }
+    }
+  }
   ASSERT_TRUE(live->Close().ok());
 }
 

@@ -53,14 +53,17 @@
 //                  [--partial=degrade|fail] [--hedge-min-ms=N]
 //                  [--hedge-initial-ms=N] [--health-interval-ms=N]
 //                  [--cache-mb=N]
-//       Scatter-gather router over shard backends (each one a
-//       `lsi_tool serve` holding that shard's slice). Every --shard
-//       names one shard; commas separate its replicas (first = primary,
-//       later = hedge targets). Serves POST /query, GET /healthz,
-//       /statusz, /metrics; /query fans out with the remaining deadline
-//       in X-Lsi-Deadline-Ms, hedges slow shards once after a
-//       p95-derived delay, and — under --partial=degrade — answers over
-//       the surviving shards with X-Lsi-Partial: true when some fail.
+//       Scatter-gather router over shard backends: HTTP servers that
+//       each answer /query for one shard. `lsi_tool serve` backs a
+//       single shard's replicas (an engine file holds the whole engine,
+//       without tombstones); several shards serve ShardSet::shard(i)
+//       from code. Every --shard names one shard; commas separate its
+//       replicas (first = primary, later = hedge targets). Serves POST
+//       /query, GET /healthz, /statusz, /metrics; /query fans out with
+//       the remaining deadline in X-Lsi-Deadline-Ms, hedges slow shards
+//       once after a p95-derived delay, and — under --partial=degrade —
+//       answers over the surviving shards with X-Lsi-Partial: true when
+//       some fail.
 //
 //   lsi_tool add <live-dir> <name> <text...>
 //       Appends one add record to <live-dir>/wal.log without starting a
