@@ -43,10 +43,29 @@ Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
   return full.Truncated(rank);
 }
 
+std::vector<double> ColumnNorms(const linalg::SparseMatrix& a) {
+  std::vector<double> norms(a.cols(), 0.0);
+  for (std::size_t p = 0; p < a.NumNonZeros(); ++p) {
+    norms[a.col_indices()[p]] += a.values()[p] * a.values()[p];
+  }
+  for (double& norm : norms) norm = std::sqrt(norm);
+  return norms;
+}
+
+std::vector<double> ColumnNorms(const linalg::DenseMatrix& a) {
+  std::vector<double> norms(a.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) norms[j] += a(i, j) * a(i, j);
+  }
+  for (double& norm : norms) norm = std::sqrt(norm);
+  return norms;
+}
+
 }  // namespace
 
 LsiIndex::LsiIndex(linalg::SvdResult svd,
-                   linalg::DenseMatrix document_vectors) {
+                   linalg::DenseMatrix document_vectors,
+                   const std::vector<double>& column_norms) {
   auto built = std::make_shared<Built>();
   const std::size_t k = svd.rank();
   if (document_vectors.rows() == 0) {
@@ -64,10 +83,19 @@ LsiIndex::LsiIndex(linalg::SvdResult svd,
   built->document_vectors = std::move(document_vectors);
   const std::size_t m = built->document_vectors.rows();
   built->document_norms.resize(m);
+  double residual_sum = 0.0;
   for (std::size_t j = 0; j < m; ++j) {
     built->document_norms[j] = std::sqrt(linalg::simd::SquaredNorm(
         built->document_vectors.RowPtr(j), k));
     max_document_norm_ = std::max(max_document_norm_, built->document_norms[j]);
+    // U_k^T A = D_k V_k^T, so row j's norm is ||U_k^T a_j||.
+    if (j < column_norms.size() && column_norms[j] > 0.0) {
+      residual_sum += std::acos(
+          std::min(1.0, built->document_norms[j] / column_norms[j]));
+    }
+  }
+  if (!column_norms.empty() && m > 0) {
+    built->mean_residual_angle = residual_sum / static_cast<double>(m);
   }
   built_ = std::move(built);
   deleted_.assign(m, 0);
@@ -82,7 +110,7 @@ Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
       LSI_ASSIGN_OR_RETURN(
           svd, ComputeJacobi(term_document.ToDense(), options.rank));
     }
-    return LsiIndex(std::move(svd));
+    return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
   }
   linalg::SparseOperator op(term_document);
   linalg::SvdResult svd;
@@ -90,7 +118,7 @@ Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
     obs::ScopedSpan span("factor");
     LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
   }
-  return LsiIndex(std::move(svd));
+  return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
 }
 
 Result<LsiIndex> LsiIndex::Build(const linalg::DenseMatrix& term_document,
@@ -101,7 +129,7 @@ Result<LsiIndex> LsiIndex::Build(const linalg::DenseMatrix& term_document,
       obs::ScopedSpan span("factor");
       LSI_ASSIGN_OR_RETURN(svd, ComputeJacobi(term_document, options.rank));
     }
-    return LsiIndex(std::move(svd));
+    return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
   }
   linalg::DenseOperator op(term_document);
   linalg::SvdResult svd;
@@ -109,7 +137,7 @@ Result<LsiIndex> LsiIndex::Build(const linalg::DenseMatrix& term_document,
     obs::ScopedSpan span("factor");
     LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
   }
-  return LsiIndex(std::move(svd));
+  return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
 }
 
 Result<LsiIndex> LsiIndex::FromSvd(linalg::SvdResult svd) {

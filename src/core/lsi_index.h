@@ -137,6 +137,14 @@ class LsiIndex {
   Result<std::size_t> FoldInDocument(const linalg::DenseVector& term_vector,
                                      double* residual_angle = nullptr);
 
+  /// The mean, over the documents Build factored, of the residual angle
+  /// FoldInDocument reports for a document's own column a_j:
+  /// acos(||U_k^T a_j|| / ||a_j||), 0 for a zero column. It is the drift
+  /// baseline: typical documents keep a large residual outside span(U_k)
+  /// (about 1 rad for 50-100 term documents at k = 100), so fold-ins are
+  /// compared with it, not with 0. 0 for an index from Load or FromSvd.
+  double MeanBuiltResidualAngle() const { return built_->mean_residual_angle; }
+
   /// Number of documents folded in since the build.
   std::size_t NumFoldedDocuments() const {
     return NumDocuments() - svd().v.rows();
@@ -185,11 +193,14 @@ class LsiIndex {
     linalg::SvdResult svd;
     linalg::DenseMatrix document_vectors;
     std::vector<double> document_norms;
+    double mean_residual_angle = 0.0;
   };
 
-  // Empty `document_vectors` projects V_k D_k from the factors.
+  // Empty `document_vectors` projects V_k D_k from the factors. Non-empty
+  // `column_norms` (||a_j|| of the factored matrix) sets the mean residual.
   explicit LsiIndex(linalg::SvdResult svd,
-                    linalg::DenseMatrix document_vectors = {});
+                    linalg::DenseMatrix document_vectors = {},
+                    const std::vector<double>& column_norms = {});
 
   const double* Row(std::size_t j) const;
   double RowNorm(std::size_t j) const;

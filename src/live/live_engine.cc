@@ -1,6 +1,7 @@
 #include "live/live_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/fault.h"
@@ -67,12 +68,10 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Open(
     MutexLock lock(live->write_mutex_);
     live->corpus_ = std::move(base_corpus);
     const std::size_t base_documents = live->corpus_.NumDocuments();
-    live->alive_.assign(base_documents, 1);
-    live->doc_corpus_.resize(base_documents);
-    for (std::size_t i = 0; i < base_documents; ++i) {
-      live->doc_corpus_[i] = i;
-      live->by_name_[live->corpus_.document(i).name()].push_back(i);
-    }
+    live->live_.doc_corpus.resize(base_documents);
+    std::iota(live->live_.doc_corpus.begin(), live->live_.doc_corpus.end(),
+              std::size_t{0});
+    live->live_.by_name = live->NamesOf(live->live_.doc_corpus);
     {
       MutexLock snapshot_lock(live->snapshot_mutex_);
       live->snapshot_ = std::make_shared<core::LsiEngine>(std::move(base));
@@ -84,13 +83,12 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Open(
     // result as one epoch: a restarted engine is byte-identical to the
     // one that kept running.
     for (const WalRecord& record : live->wal_->replayed()) {
-      Result<WriteReceipt> applied = live->ApplyLocked(record);
+      Result<WriteReceipt> applied = live->ApplyLiveLocked(record);
       if (!applied.ok()) {
         return Status::Internal("live: wal replay failed at record " +
                                 std::to_string(record.seq) + ": " +
                                 applied.status().message());
       }
-      ++live->unpublished_;
     }
     if (live->unpublished_ > 0) live->PublishLocked();
   }
@@ -130,11 +128,6 @@ Status LiveEngine::ValidateWrite(WalOp op, const std::string& name,
   return Status::OK();
 }
 
-void LiveEngine::EnsurePendingLocked() {
-  if (pending_ != nullptr) return;
-  pending_ = std::make_unique<core::LsiEngine>(*Snapshot());
-}
-
 void LiveEngine::SwapSnapshotLocked(std::unique_ptr<core::LsiEngine> next) {
   {
     MutexLock lock(snapshot_mutex_);
@@ -148,57 +141,64 @@ void LiveEngine::SwapSnapshotLocked(std::unique_ptr<core::LsiEngine> next) {
 
 void LiveEngine::PublishLocked() {
   unpublished_ = 0;
-  if (pending_ == nullptr) return;
-  SwapSnapshotLocked(std::move(pending_));
+  if (live_.pending == nullptr) return;
+  SwapSnapshotLocked(std::move(live_.pending));
   ++publishes_;
   obs::MetricsRegistry::Global().GetCounter("lsi.live.publishes").Increment();
 }
 
-Result<WriteReceipt> LiveEngine::ApplyLocked(const WalRecord& record) {
+Result<WriteReceipt> LiveEngine::Apply(Target& target,
+                                       const WalRecord& record,
+                                       std::size_t corpus_index) {
   WriteReceipt receipt;
   receipt.seq = record.seq;
-
-  // Delete half (kDelete always; kUpdate when the name exists).
-  if (record.op == WalOp::kDelete || record.op == WalOp::kUpdate) {
-    auto it = by_name_.find(record.name);
-    if (it == by_name_.end()) {
-      if (record.op == WalOp::kDelete) {
-        return Status::NotFound("live: no document named " + record.name);
-      }
-    } else {
-      EnsurePendingLocked();
+  if (record.op != WalOp::kAdd) {
+    auto it = target.by_name.find(record.name);
+    if (it != target.by_name.end()) {
       for (std::size_t id : it->second) {
-        LSI_RETURN_IF_ERROR(pending_->RemoveDocument(id));
-        alive_[doc_corpus_[id]] = 0;
+        LSI_RETURN_IF_ERROR(target.pending->RemoveDocument(id));
       }
       receipt.removed = it->second.size();
-      by_name_.erase(it);
+      target.by_name.erase(it);
+    } else if (record.op == WalOp::kDelete) {
+      return Status::NotFound("live: no document named " + record.name);
     }
   }
-
-  // Add half (kAdd always; kUpdate's replacement document).
-  if (record.op == WalOp::kAdd || record.op == WalOp::kUpdate) {
-    EnsurePendingLocked();
-    LSI_ASSIGN_OR_RETURN(core::LsiEngine::FoldInResult fold,
-                         pending_->FoldInDocument(record.name, record.text));
-    const std::size_t corpus_index =
-        corpus_.AddDocument(record.name, analyzer_.Analyze(record.text));
-    alive_.push_back(1);
-    doc_corpus_.push_back(corpus_index);
-    by_name_[record.name].push_back(fold.document);
-    drift_sum_ += fold.residual_angle;
-    drift_max_ = std::max(drift_max_, fold.residual_angle);
-    ++drift_count_;
-    ++folded_since_refresh_;
+  if (record.op != WalOp::kDelete) {
+    LSI_ASSIGN_OR_RETURN(
+        core::LsiEngine::FoldInResult fold,
+        target.pending->FoldInDocument(record.name, record.text));
+    target.doc_corpus.push_back(corpus_index);
+    target.by_name[record.name].push_back(fold.document);
+    target.drift_sum += fold.residual_angle;
+    target.drift_max = std::max(target.drift_max, fold.residual_angle);
+    ++target.drift_count;
     receipt.document = fold.document;
-    if (refresh_in_progress_) {
-      refresh_delta_.push_back(
-          {record.op, record.name, record.text, corpus_index});
-    }
-  } else if (refresh_in_progress_) {
-    refresh_delta_.push_back({record.op, record.name, std::string(), 0});
   }
   return receipt;
+}
+
+Result<WriteReceipt> LiveEngine::ApplyLiveLocked(const WalRecord& record) {
+  if (live_.pending == nullptr) {
+    live_.pending = std::make_unique<core::LsiEngine>(*Snapshot());
+  }
+  LSI_ASSIGN_OR_RETURN(WriteReceipt receipt,
+                       Apply(live_, record, corpus_.NumDocuments()));
+  if (record.op != WalOp::kDelete) {
+    corpus_.AddDocument(record.name, analyzer_.Analyze(record.text));
+  }
+  if (refresh_in_progress_) refresh_journal_.push_back(record);
+  ++unpublished_;
+  return receipt;
+}
+
+LiveEngine::NameMap LiveEngine::NamesOf(
+    const std::vector<std::size_t>& doc_corpus) const {
+  NameMap by_name;
+  for (std::size_t id = 0; id < doc_corpus.size(); ++id) {
+    by_name[corpus_.document(doc_corpus[id]).name()].push_back(id);
+  }
+  return by_name;
 }
 
 Result<WriteReceipt> LiveEngine::Write(WalOp op, const std::string& name,
@@ -213,7 +213,7 @@ Result<WriteReceipt> LiveEngine::Write(WalOp op, const std::string& name,
         "live: WAL unavailable (autocompact recovery failed)");
   }
   LSI_RETURN_IF_ERROR(ValidateWrite(op, name, text));
-  if (op == WalOp::kDelete && by_name_.find(name) == by_name_.end()) {
+  if (op == WalOp::kDelete && !live_.by_name.contains(name)) {
     // Refuse before logging: the WAL holds only writes that apply.
     return Status::NotFound("live: no document named " + name);
   }
@@ -229,12 +229,7 @@ Result<WriteReceipt> LiveEngine::Write(WalOp op, const std::string& name,
     return fault::InjectedFailure("live.publish");
   }
 
-  WalRecord record;
-  record.op = op;
-  record.seq = seq;
-  record.name = name;
-  record.text = text;
-  Result<WriteReceipt> receipt = ApplyLocked(record);
+  Result<WriteReceipt> receipt = ApplyLiveLocked({op, seq, name, text});
   if (!receipt.ok()) {
     Status aborted = wal_->AbortLast();
     if (!aborted.ok()) return aborted;
@@ -242,15 +237,14 @@ Result<WriteReceipt> LiveEngine::Write(WalOp op, const std::string& name,
     return receipt.status();
   }
 
-  ++unpublished_;
   if (unpublished_ >= options_.publish_every) PublishLocked();
   receipt->epoch = epoch_.load(std::memory_order_acquire) +
                    (unpublished_ > 0 ? 1 : 0);
   registry.GetCounter(OpCounterName(op)).Increment();
   MaybeAutoCompactLocked();
-  if (drift_count_ > 0) {
+  if (live_.drift_count > 0) {
     registry.GetGauge("lsi.live.drift_mean_radians")
-        .Set(drift_sum_ / static_cast<double>(drift_count_));
+        .Set(live_.drift_sum / static_cast<double>(live_.drift_count));
   }
   return receipt;
 }
@@ -328,20 +322,19 @@ Status LiveEngine::Flush() {
   return Status::OK();
 }
 
-bool LiveEngine::ShouldRefreshLocked() const {
-  if (closed_ || refresh_in_progress_) return false;
-  if (options_.drift_threshold_radians > 0.0 && drift_count_ > 0) {
-    const double mean = drift_sum_ / static_cast<double>(drift_count_);
-    if (mean > options_.drift_threshold_radians) return true;
+bool RefreshDue(const LiveStats& stats, const LiveOptions& options) {
+  if (stats.refresh_in_progress || stats.folded_since_refresh == 0) {
+    return false;
   }
-  if (options_.max_folded_fraction > 0.0 && folded_since_refresh_ > 0) {
-    const double total = static_cast<double>(doc_corpus_.size());
-    if (static_cast<double>(folded_since_refresh_) >
-        options_.max_folded_fraction * total) {
-      return true;
-    }
+  if (options.drift_threshold_radians > 0.0 &&
+      stats.drift_mean_radians - stats.drift_baseline_radians >
+          options.drift_threshold_radians) {
+    return true;
   }
-  return false;
+  const double ids = static_cast<double>(stats.documents + stats.tombstones);
+  return options.max_folded_fraction > 0.0 &&
+         static_cast<double>(stats.folded_since_refresh) >
+             options.max_folded_fraction * ids;
 }
 
 // Lock order across the three phases follows the live band of
@@ -354,11 +347,12 @@ Status LiveEngine::RunRefresh() {
   obs::ScopedSpan span("live.refresh");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
 
-  // Phase 1 (write lock): freeze the rebuild input. Everything
-  // acknowledged so far is in corpus_/alive_; writes from here on are
-  // journaled into refresh_delta_ by ApplyLocked.
+  // Phase 1 (write lock): freeze the rebuild input, the corpus_
+  // documents a non-tombstoned id of the current engine maps to. Writes
+  // from here on are journaled into refresh_journal_ by ApplyLiveLocked.
   text::Corpus rebuild;
-  std::vector<std::size_t> rebuild_corpus_indices;
+  std::vector<std::size_t> frozen;  // Fresh engine id -> corpus_ index.
+  std::size_t frozen_size = 0;
   {
     MutexLock lock(write_mutex_);
     if (closed_) return Status::FailedPrecondition("live: engine is closed");
@@ -366,91 +360,72 @@ Status LiveEngine::RunRefresh() {
       return Status::FailedPrecondition("live: refresh already in progress");
     }
     PublishLocked();
-    rebuild = CompactCorpus(corpus_, alive_);
-    for (std::size_t i = 0; i < corpus_.NumDocuments(); ++i) {
-      if (alive_[i] != 0) rebuild_corpus_indices.push_back(i);
+    const std::shared_ptr<const core::LsiEngine> current = Snapshot();
+    std::vector<std::uint8_t> alive(corpus_.NumDocuments(), 0);
+    for (std::size_t id = 0; id < live_.doc_corpus.size(); ++id) {
+      if (current->index().IsDeleted(id)) continue;
+      alive[live_.doc_corpus[id]] = 1;
+      frozen.push_back(live_.doc_corpus[id]);
     }
-    if (rebuild.NumDocuments() == 0) {
+    if (frozen.empty()) {
       return Status::FailedPrecondition(
           "live: refresh needs at least one live document");
     }
+    rebuild = CompactCorpus(corpus_, alive);
+    frozen_size = corpus_.NumDocuments();
     refresh_in_progress_ = true;
-    refresh_delta_.clear();
   }
 
   // Phase 2 (NO lock): the expensive SVD. Queries keep hitting the old
   // snapshot; writes keep folding into pending epochs.
   Status built = Status::OK();
-  std::unique_ptr<core::LsiEngine> fresh;
+  Target next;
   if (LSI_FAULT_POINT("live.refresh.build")) {
     built = fault::InjectedFailure("live.refresh.build");
   } else {
     Result<core::LsiEngine> rebuilt =
         core::LsiEngine::Build(rebuild, options_.engine);
     if (rebuilt.ok()) {
-      fresh = std::make_unique<core::LsiEngine>(*std::move(rebuilt));
+      next.pending = std::make_unique<core::LsiEngine>(*std::move(rebuilt));
     } else {
       built = rebuilt.status();
     }
   }
 
-  // Phase 3 (write lock): replay the journal onto the fresh engine,
-  // rebuild the id maps, swap it in.
+  // Phase 3 (write lock): replay the journal onto the fresh engine through
+  // Apply, the path live writes take, then swap it in. A journaled add's
+  // corpus_ index is the frozen size plus its rank among journaled adds.
   MutexLock lock(write_mutex_);
-  if (!built.ok() || closed_) {
-    refresh_in_progress_ = false;
-    refresh_delta_.clear();
-    if (built.ok()) return Status::FailedPrecondition("live: engine closed");
+  refresh_in_progress_ = false;
+  const std::vector<WalRecord> journal = std::exchange(refresh_journal_, {});
+  if (built.ok() && closed_) {
+    return Status::FailedPrecondition("live: engine closed");
+  }
+  if (built.ok()) {
+    next.by_name = NamesOf(frozen);
+    next.doc_corpus = std::move(frozen);
+    std::size_t corpus_index = frozen_size;
+    for (const WalRecord& record : journal) {
+      built = Apply(next, record, corpus_index).status();
+      if (!built.ok()) break;
+      if (record.op != WalOp::kDelete) ++corpus_index;
+    }
+  }
+  if (!built.ok()) {
     ++refresh_failures_;
     registry.GetCounter("lsi.live.refresh_failures").Increment();
     return built;
   }
 
-  std::vector<std::size_t> doc_corpus = rebuild_corpus_indices;
-  std::unordered_map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t e = 0; e < doc_corpus.size(); ++e) {
-    by_name[corpus_.document(doc_corpus[e]).name()].push_back(e);
-  }
-  double drift_sum = 0.0;
-  double drift_max = 0.0;
-  std::size_t drift_count = 0;
-  for (const DeltaOp& delta : refresh_delta_) {
-    if (delta.op == WalOp::kDelete || delta.op == WalOp::kUpdate) {
-      auto it = by_name.find(delta.name);
-      if (it != by_name.end()) {
-        for (std::size_t id : it->second) {
-          LSI_RETURN_IF_ERROR(fresh->RemoveDocument(id));
-        }
-        by_name.erase(it);
-      }
-    }
-    if (delta.op == WalOp::kAdd || delta.op == WalOp::kUpdate) {
-      LSI_ASSIGN_OR_RETURN(core::LsiEngine::FoldInResult fold,
-                           fresh->FoldInDocument(delta.name, delta.text));
-      doc_corpus.push_back(delta.corpus_index);
-      by_name[delta.name].push_back(fold.document);
-      drift_sum += fold.residual_angle;
-      drift_max = std::max(drift_max, fold.residual_angle);
-      ++drift_count;
-    }
-  }
-
-  doc_corpus_ = std::move(doc_corpus);
-  by_name_ = std::move(by_name);
-  pending_.reset();
+  live_ = std::move(next);
   unpublished_ = 0;
-  drift_sum_ = drift_sum;
-  drift_max_ = drift_max;
-  drift_count_ = drift_count;
-  folded_since_refresh_ = drift_count;
-  refresh_delta_.clear();
-  refresh_in_progress_ = false;
   ++refreshes_;
-  SwapSnapshotLocked(std::move(fresh));
+  SwapSnapshotLocked(std::move(live_.pending));
   registry.GetCounter("lsi.live.refreshes").Increment();
   registry.GetGauge("lsi.live.drift_mean_radians")
-      .Set(drift_count > 0 ? drift_sum / static_cast<double>(drift_count)
-                           : 0.0);
+      .Set(live_.drift_count > 0
+               ? live_.drift_sum / static_cast<double>(live_.drift_count)
+               : 0.0);
   return Status::OK();
 }
 
@@ -462,14 +437,9 @@ void LiveEngine::RefresherLoop() {
     refresh_cv_.WaitFor(lock, options_.refresh_interval);
     if (stop_refresher_) break;
     lock.Unlock();
-    bool wanted = false;
-    {
-      MutexLock write_lock(write_mutex_);
-      wanted = ShouldRefreshLocked();
-    }
     // Failures are counted in lsi.live.refresh_failures; the old
     // snapshot keeps serving, and the next tick retries.
-    if (wanted) (void)RunRefresh();
+    if (RefreshDue(stats(), options_)) (void)RunRefresh();
     lock.Lock();
   }
 }
@@ -493,17 +463,21 @@ Status LiveEngine::Close() {
 LiveStats LiveEngine::stats() const {
   LiveStats stats;
   MutexLock lock(write_mutex_);
+  const std::shared_ptr<const core::LsiEngine> snapshot = Snapshot();
+  const core::LsiIndex& current =
+      (live_.pending ? *live_.pending : *snapshot).index();
   stats.epoch = epoch_.load(std::memory_order_acquire);
   stats.wal_records = wal_ != nullptr ? wal_->record_count() : 0;
-  stats.documents = static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), std::uint8_t{1}));
-  stats.tombstones =
-      (pending_ ? pending_->index() : Snapshot()->index()).NumDeleted();
-  stats.folded_since_refresh = folded_since_refresh_;
+  stats.documents = current.NumDocuments() - current.NumDeleted();
+  stats.tombstones = current.NumDeleted();
+  stats.folded_since_refresh = live_.drift_count;
   stats.pending_writes = unpublished_;
   stats.drift_mean_radians =
-      drift_count_ > 0 ? drift_sum_ / static_cast<double>(drift_count_) : 0.0;
-  stats.drift_max_radians = drift_max_;
+      live_.drift_count > 0
+          ? live_.drift_sum / static_cast<double>(live_.drift_count)
+          : 0.0;
+  stats.drift_max_radians = live_.drift_max;
+  stats.drift_baseline_radians = current.MeanBuiltResidualAngle();
   stats.publishes = publishes_;
   stats.refreshes = refreshes_;
   stats.refresh_failures = refresh_failures_;

@@ -32,8 +32,12 @@ struct LiveOptions {
   /// publishing only delays visibility).
   std::size_t publish_every = 1;
 
-  /// Mean fold-in residual angle (radians) past which the refresher
-  /// re-runs the SVD. <= 0 disables the drift trigger.
+  /// Excess (radians) of the mean fold-in residual angle over the built
+  /// documents' own mean residual (LiveStats::drift_baseline_radians)
+  /// past which the refresher re-runs the SVD. Even in-distribution
+  /// documents sit about 1 rad outside span(U_k) at k = 100, so the
+  /// trigger measures drift against that baseline, not against 0.
+  /// <= 0 disables the drift trigger.
   double drift_threshold_radians = 0.35;
 
   /// Folded-documents fraction (folded / total) past which the
@@ -84,12 +88,22 @@ struct LiveStats {
   std::size_t pending_writes = 0;    ///< Acknowledged but not yet published.
   double drift_mean_radians = 0.0;
   double drift_max_radians = 0.0;
+  /// Mean residual angle of the documents the current engine was built
+  /// from (core::LsiIndex::MeanBuiltResidualAngle): the drift baseline.
+  double drift_baseline_radians = 0.0;
   std::uint64_t publishes = 0;
   std::uint64_t refreshes = 0;
   std::uint64_t refresh_failures = 0;
   std::uint64_t autocompacts = 0;
   bool refresh_in_progress = false;
 };
+
+/// True when the background refresher should re-run the SVD: the mean
+/// fold-in residual angle exceeds drift_baseline_radians by more than
+/// drift_threshold_radians, or the folded documents pass
+/// max_folded_fraction of all ids. Never while a refresh runs or before
+/// anything was folded in.
+bool RefreshDue(const LiveStats& stats, const LiveOptions& options);
 
 /// The corpus a rebuild runs over: the live (non-tombstoned) documents
 /// of `corpus` in arrival order, each document's tokens reconstructed
@@ -187,30 +201,54 @@ class LiveEngine {
   LiveStats stats() const;
 
  private:
-  /// One write journaled while a rebuild is in flight, replayed onto
-  /// the fresh engine before it publishes.
-  struct DeltaOp {
-    WalOp op = WalOp::kAdd;
-    std::string name;
-    std::string text;
-    std::size_t corpus_index = 0;  // Adds/updates: position in corpus_.
+  using NameMap = std::unordered_map<std::string, std::vector<std::size_t>>;
+
+  /// An engine plus the maps that address it: everything Apply() writes.
+  /// `live_` is the one writes go to; a refresh replays its journal into
+  /// a second one over the fresh engine, then moves that into `live_`.
+  struct Target {
+    /// The engine the next publish swaps in; null when nothing is
+    /// pending. A copy of the snapshot shares its built index and owns
+    /// only fold-ins and tombstones (see core::LsiEngine).
+    std::unique_ptr<core::LsiEngine> pending;
+    /// Engine document id -> corpus_ index (engine ids compact on
+    /// rebuild; this keeps them resolvable). A corpus_ document is live
+    /// iff a non-tombstoned id maps to it.
+    std::vector<std::size_t> doc_corpus;
+    /// Live (non-tombstoned) engine ids by document name.
+    NameMap by_name;
+    /// Residual angles of the documents folded in since the build.
+    double drift_sum = 0.0;
+    double drift_max = 0.0;
+    std::size_t drift_count = 0;
   };
 
   explicit LiveEngine(LiveOptions options);
+
+  /// The only code that turns a record into engine calls: tombstones the
+  /// documents it deletes or replaces and folds in the text it adds,
+  /// whose corpus_ index is `corpus_index`. `target.pending` is non-null.
+  static Result<WriteReceipt> Apply(Target& target, const WalRecord& record,
+                                    std::size_t corpus_index);
 
   Result<WriteReceipt> Write(WalOp op, const std::string& name,
                              const std::string& text);
   Status ValidateWrite(WalOp op, const std::string& name,
                        const std::string& text) const
       LSI_REQUIRES(write_mutex_);
-  Result<WriteReceipt> ApplyLocked(const WalRecord& record)
+  /// Applies an acknowledged record to `live_` (on a pending copy of the
+  /// snapshot), appends its text to corpus_, and journals it while a
+  /// refresh builds. Live writes and WAL replay both come through here.
+  Result<WriteReceipt> ApplyLiveLocked(const WalRecord& record)
       LSI_REQUIRES(write_mutex_);
-  void EnsurePendingLocked() LSI_REQUIRES(write_mutex_);
+  /// Live ids by name for a freshly built engine whose id e holds corpus_
+  /// document doc_corpus[e].
+  NameMap NamesOf(const std::vector<std::size_t>& doc_corpus) const
+      LSI_REQUIRES(write_mutex_);
   void MaybeAutoCompactLocked() LSI_REQUIRES(write_mutex_);
   void SwapSnapshotLocked(std::unique_ptr<core::LsiEngine> next)
       LSI_REQUIRES(write_mutex_);
   void PublishLocked() LSI_REQUIRES(write_mutex_);
-  bool ShouldRefreshLocked() const LSI_REQUIRES(write_mutex_);
   Status RunRefresh();
   void RefresherLoop();
 
@@ -231,24 +269,11 @@ class LiveEngine {
   /// Every document ever accepted (base + adds), in arrival order —
   /// the analyzed system of record a rebuild reconstructs from.
   text::Corpus corpus_ LSI_GUARDED_BY(write_mutex_);
-  /// alive_[i] == 0 once corpus_ document i has been deleted/replaced.
-  std::vector<std::uint8_t> alive_ LSI_GUARDED_BY(write_mutex_);
-  /// Engine document id -> corpus_ index (engine ids compact on
-  /// rebuild; this keeps them resolvable).
-  std::vector<std::size_t> doc_corpus_ LSI_GUARDED_BY(write_mutex_);
-  /// Live (non-tombstoned) engine ids by document name.
-  std::unordered_map<std::string, std::vector<std::size_t>> by_name_
-      LSI_GUARDED_BY(write_mutex_);
-  /// Copy of the snapshot the next publish will swap in; null when no
-  /// writes are pending.
-  std::unique_ptr<core::LsiEngine> pending_ LSI_GUARDED_BY(write_mutex_);
+  Target live_ LSI_GUARDED_BY(write_mutex_);
   std::size_t unpublished_ LSI_GUARDED_BY(write_mutex_) = 0;
-  double drift_sum_ LSI_GUARDED_BY(write_mutex_) = 0.0;
-  double drift_max_ LSI_GUARDED_BY(write_mutex_) = 0.0;
-  std::size_t drift_count_ LSI_GUARDED_BY(write_mutex_) = 0;
-  std::size_t folded_since_refresh_ LSI_GUARDED_BY(write_mutex_) = 0;
   bool refresh_in_progress_ LSI_GUARDED_BY(write_mutex_) = false;
-  std::vector<DeltaOp> refresh_delta_ LSI_GUARDED_BY(write_mutex_);
+  /// Records applied while a refresh builds, replayed onto its engine.
+  std::vector<WalRecord> refresh_journal_ LSI_GUARDED_BY(write_mutex_);
   std::string wal_path_ LSI_GUARDED_BY(write_mutex_);
   std::uint64_t autocompacts_ LSI_GUARDED_BY(write_mutex_) = 0;
   std::uint64_t publishes_ LSI_GUARDED_BY(write_mutex_) = 0;

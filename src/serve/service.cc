@@ -119,16 +119,15 @@ JsonValue HitsToJson(const std::vector<core::EngineHit>& hits) {
   return JsonValue(std::move(items));
 }
 
-bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
-                 std::size_t max_top_k, std::size_t* top_k,
+bool ExtractTopK(const JsonValue& body, std::size_t* top_k,
                  std::string* error) {
-  *top_k = default_top_k;
+  *top_k = kDefaultTopK;
   const JsonValue* field = body.Find("top_k");
   if (field == nullptr) return true;
   const double raw = field->number();
   if (!field->is_number() || raw < 1.0 || raw != std::floor(raw) ||
-      raw > static_cast<double>(max_top_k)) {
-    *error = "top_k must be an integer in [1, " + std::to_string(max_top_k) +
+      raw > static_cast<double>(kMaxTopK)) {
+    *error = "top_k must be an integer in [1, " + std::to_string(kMaxTopK) +
              "]";
     return false;
   }
@@ -372,10 +371,9 @@ HttpResponse LsiService::HandleQuery(
   if (!body->is_object()) {
     return JsonError(400, "request body must be a JSON object");
   }
-  std::size_t top_k = options_.default_top_k;
+  std::size_t top_k = kDefaultTopK;
   std::string top_k_error;
-  if (!ExtractTopK(*body, options_.default_top_k, options_.max_top_k, &top_k,
-                   &top_k_error)) {
+  if (!ExtractTopK(*body, &top_k, &top_k_error)) {
     return JsonError(400, top_k_error);
   }
 
@@ -400,11 +398,9 @@ HttpResponse LsiService::HandleQuery(
     return JsonError(400, "queries must be an array of strings");
   }
   const JsonValue::Array& queries = multi->array();
-  if (queries.empty() || queries.size() > options_.max_queries_per_request) {
-    return JsonError(400,
-                     "queries length must be in [1, " +
-                         std::to_string(options_.max_queries_per_request) +
-                         "]");
+  if (queries.empty() || queries.size() > kMaxQueriesPerRequest) {
+    return JsonError(400, "queries length must be in [1, " +
+                              std::to_string(kMaxQueriesPerRequest) + "]");
   }
   for (const JsonValue& q : queries) {
     if (!q.is_string()) {
@@ -461,10 +457,9 @@ HttpResponse LsiService::HandleRelated(const HttpRequest& request) {
   if (term == nullptr || !term->is_string()) {
     return JsonError(400, "body must have a string term");
   }
-  std::size_t top_k = options_.default_top_k;
+  std::size_t top_k = kDefaultTopK;
   std::string top_k_error;
-  if (!ExtractTopK(*body, options_.default_top_k, options_.max_top_k, &top_k,
-                   &top_k_error)) {
+  if (!ExtractTopK(*body, &top_k, &top_k_error)) {
     return JsonError(400, top_k_error);
   }
   auto related = CurrentEngine()->RelatedTerms(term->string_value(), top_k);
@@ -576,6 +571,8 @@ HttpResponse LsiService::HandleStatusz() {
                       JsonValue(live_stats.drift_mean_radians));
     live.emplace_back("drift_max_radians",
                       JsonValue(live_stats.drift_max_radians));
+    live.emplace_back("drift_baseline_radians",
+                      JsonValue(live_stats.drift_baseline_radians));
     live.emplace_back("publishes",
                       JsonValue(static_cast<double>(live_stats.publishes)));
     live.emplace_back("refreshes",

@@ -19,17 +19,18 @@
 
 namespace lsi::serve {
 
+/// Request limits of /query and /related. LsiService and shard::Router
+/// both read these, so a routed deployment accepts exactly the requests
+/// an unsharded server accepts and answers them byte-identically.
+inline constexpr std::size_t kDefaultTopK = 10;  ///< When a body omits top_k.
+inline constexpr std::size_t kMaxTopK = 1000;    ///< Larger top_k is a 400.
+inline constexpr std::size_t kMaxQueriesPerRequest = 64;  ///< "queries" cap.
+
 /// Options for the request-handling layer (transport options live in
 /// ServerOptions).
 struct ServiceOptions {
   QueryCacheOptions cache;
   BatcherOptions batch;
-  /// top_k when a request body omits it.
-  std::size_t default_top_k = 10;
-  /// Requests asking for more than this are rejected with 400.
-  std::size_t max_top_k = 1000;
-  /// Upper bound on "queries" array length in one /query body.
-  std::size_t max_queries_per_request = 64;
   /// Live mode: largest accepted /add // /update document text.
   std::size_t max_document_bytes = 1 << 20;
   /// Live mode: write requests in flight beyond this answer 503.
@@ -133,10 +134,9 @@ HttpResponse RetryLater(std::string_view message);
 /// keeps a routed answer byte-identical to an unsharded one.
 JsonValue HitsToJson(const std::vector<core::EngineHit>& hits);
 
-/// Extracts an optional positive-integer top_k from a parsed body.
-/// Returns false (with `*error` set) on a malformed value.
-bool ExtractTopK(const JsonValue& body, std::size_t default_top_k,
-                 std::size_t max_top_k, std::size_t* top_k,
+/// Extracts top_k from a parsed body: kDefaultTopK when absent, else an
+/// integer in [1, kMaxTopK]. Returns false (with `*error` set) otherwise.
+bool ExtractTopK(const JsonValue& body, std::size_t* top_k,
                  std::string* error);
 
 }  // namespace lsi::serve

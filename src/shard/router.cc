@@ -229,10 +229,9 @@ serve::HttpResponse Router::HandleQuery(const serve::HttpRequest& request,
   if (!body->is_object()) {
     return serve::JsonError(400, "request body must be a JSON object");
   }
-  std::size_t top_k = options_.default_top_k;
+  std::size_t top_k = serve::kDefaultTopK;
   std::string top_k_error;
-  if (!serve::ExtractTopK(*body, options_.default_top_k, options_.max_top_k,
-                          &top_k, &top_k_error)) {
+  if (!serve::ExtractTopK(*body, &top_k, &top_k_error)) {
     return serve::JsonError(400, top_k_error);
   }
   const serve::JsonValue* single = body->Find("query");

@@ -44,8 +44,6 @@ struct RouterOptions {
   /// hedge_min, ∞); hedge_initial is used until enough samples exist.
   std::chrono::milliseconds hedge_min{20};
   std::chrono::milliseconds hedge_initial{100};
-  std::size_t default_top_k = 10;
-  std::size_t max_top_k = 100;
   BreakerOptions breaker;
   /// Full-result cache (partials are refused by QueryCache itself).
   serve::QueryCacheOptions cache;

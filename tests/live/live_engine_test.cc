@@ -1,15 +1,19 @@
 #include "live/live_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/engine.h"
+#include "model/separable_model.h"
 #include "text/analyzer.h"
 
 namespace lsi::live {
@@ -58,6 +62,66 @@ std::unique_ptr<LiveEngine> OpenFresh(const char* wal_name,
   auto live = LiveEngine::Open(BaseCorpus(), path, std::move(options));
   EXPECT_TRUE(live.ok()) << live.status().ToString();
   return live.ok() ? std::move(live).value() : nullptr;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return "";
+  std::string bytes;
+  char buffer[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    bytes.append(buffer, n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+/// `n` documents of the paper's separable model (10 topics of 40 primary
+/// terms, 30-60 terms each), as text the analyzer maps back to the terms.
+std::vector<std::string> ModelTexts(std::size_t n) {
+  model::SeparableModelParams params;
+  params.num_topics = 10;
+  params.terms_per_topic = 40;
+  params.min_document_length = 30;
+  params.max_document_length = 60;
+  auto corpus_model = model::BuildSeparableModel(params);
+  EXPECT_TRUE(corpus_model.ok()) << corpus_model.status().ToString();
+  Rng rng(7);
+  std::vector<std::string> texts;
+  char buffer[16];
+  for (std::size_t i = 0; i < n && corpus_model.ok(); ++i) {
+    auto generated = corpus_model->GenerateDocument(rng);
+    EXPECT_TRUE(generated.ok()) << generated.status().ToString();
+    std::string text;
+    for (text::TermId term : generated->first) {
+      std::snprintf(buffer, sizeof(buffer), "term%05zu ",
+                    static_cast<std::size_t>(term));
+      text += buffer;
+    }
+    texts.push_back(std::move(text));
+  }
+  return texts;
+}
+
+/// The first `n` texts as a base corpus named d0, d1, ...
+text::Corpus ModelCorpus(const std::vector<std::string>& texts,
+                         std::size_t n) {
+  text::Analyzer analyzer;
+  text::Corpus corpus;
+  for (std::size_t i = 0; i < n; ++i) {
+    corpus.AddDocument("d" + std::to_string(i), analyzer.Analyze(texts[i]));
+  }
+  return corpus;
+}
+
+LiveOptions ModelOptions() {
+  LiveOptions options;
+  options.engine.rank = 20;
+  options.engine.solver = core::SvdSolver::kLanczos;
+  options.background_refresh = false;
+  return options;
 }
 
 std::vector<std::string> TopNames(const core::LsiEngine& engine,
@@ -378,6 +442,152 @@ TEST(LiveEngineTest, AllOovAddFoldsInWithZeroDrift) {
     }
   }
   ASSERT_TRUE(live->Close().ok());
+}
+
+TEST(LiveEngineTest, WritesDuringRefreshBuildAreReplayed) {
+  const std::vector<std::string> all = ModelTexts(506);
+  const text::Corpus base = ModelCorpus(all, 500);
+  const std::vector<std::string> texts(all.begin() + 500, all.end());
+  const LiveOptions options = ModelOptions();
+  const std::string path = TempPath("live_midbuild.log");
+  std::remove(path.c_str());
+  auto opened = LiveEngine::Open(base, path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LiveEngine& live = **opened;
+
+  // Before the refresh: a fold-in and a tombstone the rebuild compacts.
+  ASSERT_TRUE(live.Add("pre", texts[0]).ok());
+  ASSERT_TRUE(live.Delete("d1").ok());
+
+  std::atomic<bool> done{false};
+  Status refreshed;
+  std::thread refresher([&] {
+    refreshed = live.ForceRefresh();
+    done.store(true, std::memory_order_release);
+  });
+  while (!live.stats().refresh_in_progress &&
+         !done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  // Every op kind while the BUILD phase runs, including writes that touch
+  // a journaled add ("mid") and a fold-in from before the freeze ("pre").
+  std::size_t mid_build = 0;
+  auto write = [&](Result<WriteReceipt> receipt) {
+    ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+    if (live.stats().refresh_in_progress) ++mid_build;
+  };
+  write(live.Add("mid", texts[1]));
+  write(live.Update("d5", texts[2]));
+  write(live.Delete("d7"));
+  write(live.Update("mid", texts[3]));
+  write(live.Delete("pre"));
+  write(live.Add("mid2", texts[4]));
+  refresher.join();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  EXPECT_GE(mid_build, 1u);
+  EXPECT_EQ(live.stats().refreshes, 1u);
+
+  // Reference: a fresh build over the corpus the refresh froze, then the
+  // same fold-ins and tombstones in write order.
+  text::Corpus frozen = base;
+  frozen.AddDocument("pre", text::Analyzer().Analyze(texts[0]));
+  std::vector<std::uint8_t> alive(frozen.NumDocuments(), 1);
+  alive[1] = 0;
+  auto reference = core::LsiEngine::Build(CompactCorpus(frozen, alive),
+                                          options.engine);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto remove_named = [&](const std::string& name) {
+    for (std::size_t id = 0; id < reference->NumDocuments(); ++id) {
+      if (!reference->index().IsDeleted(id) &&
+          reference->DocumentName(id).value() == name) {
+        ASSERT_TRUE(reference->RemoveDocument(id).ok());
+      }
+    }
+  };
+  ASSERT_TRUE(reference->FoldInDocument("mid", texts[1]).ok());
+  remove_named("d5");
+  ASSERT_TRUE(reference->FoldInDocument("d5", texts[2]).ok());
+  remove_named("d7");
+  remove_named("mid");
+  ASSERT_TRUE(reference->FoldInDocument("mid", texts[3]).ok());
+  remove_named("pre");
+  ASSERT_TRUE(reference->FoldInDocument("mid2", texts[4]).ok());
+
+  const std::string got_path = TempPath("live_midbuild_got.bin");
+  const std::string ref_path = TempPath("live_midbuild_ref.bin");
+  ASSERT_TRUE(live.Snapshot()->Save(got_path).ok());
+  ASSERT_TRUE(reference->Save(ref_path).ok());
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print both files.
+  EXPECT_TRUE(ReadFileBytes(got_path) == ReadFileBytes(ref_path));
+  ASSERT_TRUE(live.Close().ok());
+}
+
+TEST(LiveEngineTest, RefreshDueMeasuresDriftPastTheBuiltBaseline) {
+  // Means measured on the live-mixed corpus model (m = 2e4, k = 100):
+  // built documents 1.042 rad, model fold-ins 1.044-1.050, topic-less
+  // fold-ins 1.478.
+  const LiveOptions options;
+  LiveStats stats;
+  stats.documents = 20000;
+  stats.folded_since_refresh = 400;
+  stats.drift_baseline_radians = 1.042;
+  stats.drift_mean_radians = 1.050;
+  EXPECT_FALSE(RefreshDue(stats, options));
+  stats.drift_mean_radians = 1.478;
+  EXPECT_TRUE(RefreshDue(stats, options));
+  // Not while a refresh runs, nor with nothing folded in.
+  stats.refresh_in_progress = true;
+  EXPECT_FALSE(RefreshDue(stats, options));
+  stats.refresh_in_progress = false;
+  stats.folded_since_refresh = 0;
+  EXPECT_FALSE(RefreshDue(stats, options));
+  // The folded-fraction rule holds with no drift at all: 0.25 of all ids,
+  // live and tombstoned.
+  stats.drift_mean_radians = stats.drift_baseline_radians;
+  stats.documents = 90;
+  stats.tombstones = 10;
+  stats.folded_since_refresh = 25;
+  EXPECT_FALSE(RefreshDue(stats, options));
+  stats.folded_since_refresh = 26;
+  EXPECT_TRUE(RefreshDue(stats, options));
+  LiveOptions disabled;
+  disabled.drift_threshold_radians = 0.0;
+  disabled.max_folded_fraction = 0.0;
+  stats.drift_mean_radians = 3.0;
+  EXPECT_FALSE(RefreshDue(stats, disabled));
+}
+
+TEST(LiveEngineTest, DriftBaselineIsTheBuiltDocumentsMeanResidual) {
+  const std::vector<std::string> texts = ModelTexts(600);
+  const std::string path = TempPath("live_baseline.log");
+  std::remove(path.c_str());
+  auto opened = LiveEngine::Open(ModelCorpus(texts, 500), path,
+                                 ModelOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LiveEngine& live = **opened;
+  const double baseline = live.stats().drift_baseline_radians;
+  EXPECT_GT(baseline, 0.1);
+
+  // Folding the built documents' own texts into a copy reports, on
+  // average, exactly the baseline.
+  core::LsiEngine copy = *live.Snapshot();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < 500; ++i) {
+    auto fold = copy.FoldInDocument("again", texts[i]);
+    ASSERT_TRUE(fold.ok()) << fold.status().ToString();
+    sum += fold->residual_angle;
+  }
+  EXPECT_NEAR(sum / 500.0, baseline, 1e-9);
+
+  // Fresh documents from the same model drift by far less than the
+  // threshold, so they do not call for a re-SVD.
+  for (std::size_t i = 500; i < 600; ++i) {
+    ASSERT_TRUE(live.Add("new" + std::to_string(i), texts[i]).ok());
+  }
+  const LiveStats stats = live.stats();
+  EXPECT_LT(stats.drift_mean_radians - stats.drift_baseline_radians, 0.1);
+  EXPECT_FALSE(RefreshDue(stats, ModelOptions()));
+  ASSERT_TRUE(live.Close().ok());
 }
 
 }  // namespace

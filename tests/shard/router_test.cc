@@ -219,9 +219,11 @@ TEST_F(RouterTest, FullResultIsByteIdenticalToUnshardedService) {
 
 TEST_F(RouterTest, ValidatesRequestBodies) {
   Backend b0(set_->shard(0));
+  Backend b1(set_->shard(1));
   b0.Start();
+  b1.Start();
   RouterOptions options = BaseRouterOptions();
-  options.shards = {{b0.address()}};
+  options.shards = {{b0.address()}, {b1.address()}};
   Router router(std::move(options));
   ASSERT_TRUE(router.Start().ok());
 
@@ -236,8 +238,15 @@ TEST_F(RouterTest, ValidatesRequestBodies) {
       router.Handle(QueryRequest(R"({"query": "a", "top_k": 0})"), Soon())
           .status,
       400);
+  // The router takes the unsharded server's top_k range, serve::kMaxTopK,
+  // and answers within it byte-identically.
+  const std::string wide = R"({"query": "moon pasta engine", "top_k": 101})";
+  serve::HttpResponse wide_response = router.Handle(QueryRequest(wide), Soon());
+  EXPECT_EQ(wide_response.status, 200) << wide_response.body;
+  EXPECT_NE(wide_response.body.find("space1"), std::string::npos);
+  EXPECT_EQ(wide_response.body, BaselineBody(wide));
   EXPECT_EQ(
-      router.Handle(QueryRequest(R"({"query": "a", "top_k": 101})"), Soon())
+      router.Handle(QueryRequest(R"({"query": "a", "top_k": 1001})"), Soon())
           .status,
       400);
   serve::HttpRequest get = QueryRequest("{}");
@@ -248,6 +257,7 @@ TEST_F(RouterTest, ValidatesRequestBodies) {
 
   router.Stop();
   b0.Stop();
+  b1.Stop();
 }
 
 TEST_F(RouterTest, BackendClientErrorIsRelayedWithoutEjectingReplicas) {
@@ -264,7 +274,7 @@ TEST_F(RouterTest, BackendClientErrorIsRelayedWithoutEjectingReplicas) {
   // forwards it, every backend answers 400, and that 400 is the answer —
   // a client's bad request says nothing about backend health.
   const std::size_t too_many =
-      serve::ServiceOptions().max_queries_per_request + 1;
+      serve::kMaxQueriesPerRequest + 1;
   std::string oversized = R"({"queries": [)";
   for (std::size_t i = 0; i < too_many; ++i) {
     oversized += (i == 0 ? "" : ", ") + std::string(R"("moon")");

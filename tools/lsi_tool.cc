@@ -39,8 +39,10 @@
 //       Live mode: <dir>/corpus.tsv is the base corpus and <dir>/wal.log
 //       the write-ahead log (created if missing, replayed if present).
 //       Adds POST /add, /delete, /update; queries run against epoch
-//       snapshots and a background thread re-runs the SVD when fold-in
-//       drift crosses --drift-threshold radians. Drain order on signal:
+//       snapshots and a background thread re-runs the SVD when the mean
+//       fold-in residual angle exceeds the built documents' own mean
+//       (drift_baseline_radians in /statusz) by more than
+//       --drift-threshold radians (default 0.35). Drain order on signal:
 //       stop accepting, flush the pending epoch, close the WAL.
 //
 //   lsi_tool serve ... [--wal-compact-bytes=N] [--wal-compact-ops=N]
@@ -157,6 +159,10 @@ int Usage() {
                "                       to stdout after the command\n"
                "  --threads=N          cap parallel kernels at N threads\n"
                "                       (1 = serial; default: all cores)\n"
+               "  --drift-threshold=R  serve --live: re-SVD once the mean\n"
+               "                       fold-in residual angle exceeds the\n"
+               "                       built documents' mean by R radians\n"
+               "                       (default 0.35; <= 0 disables)\n"
                "\n"
                "environment:\n"
                "  LSI_METRICS=json|prom              same as --stats=<fmt>\n"
