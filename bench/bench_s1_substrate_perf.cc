@@ -42,9 +42,10 @@ void BM_SparseMatVecTranspose(benchmark::State& state) {
   params.terms_per_topic = 200;
   lsi::bench::BenchCorpus corpus = lsi::bench::MakeSeparableCorpus(
       params, static_cast<std::size_t>(state.range(0)), 778);
+  lsi::linalg::SparseOperator op(corpus.matrix);
   lsi::linalg::DenseVector x(corpus.matrix.rows(), 1.0);
   for (auto _ : state) {
-    auto y = corpus.matrix.MultiplyTranspose(x);
+    auto y = op.ApplyTranspose(x);
     benchmark::DoNotOptimize(y);
   }
 }

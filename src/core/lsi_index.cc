@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "linalg/operators.h"
 #include "linalg/simd/simd.h"
 #include "obs/span.h"
 #include "par/parallel_for.h"
@@ -13,13 +12,15 @@
 namespace lsi::core {
 namespace {
 
-Result<linalg::SvdResult> ComputeTruncatedSvd(const linalg::LinearOperator& a,
-                                              const LsiOptions& options) {
-  const std::size_t min_dim = std::min(a.rows(), a.cols());
-  if (options.rank == 0 || options.rank > min_dim) {
-    return Status::InvalidArgument(
-        "LsiIndex: rank must satisfy 1 <= rank <= min(terms, documents)");
-  }
+const linalg::DenseMatrix& Densify(const linalg::DenseMatrix& a) { return a; }
+linalg::DenseMatrix Densify(const linalg::SparseMatrix& a) {
+  return a.ToDense();
+}
+
+// Each solver's matrix overload builds its operator (for a sparse A,
+// the stored A^T too), so all of that runs inside the caller's span.
+template <typename Matrix>
+Result<linalg::SvdResult> Factor(const Matrix& a, const LsiOptions& options) {
   switch (options.solver) {
     case SvdSolver::kLanczos:
       return linalg::LanczosSvd(a, options.rank, options.lanczos);
@@ -27,20 +28,13 @@ Result<linalg::SvdResult> ComputeTruncatedSvd(const linalg::LinearOperator& a,
       return linalg::RandomizedSvd(a, options.rank, options.randomized);
     case SvdSolver::kGkl:
       return linalg::GklSvd(a, options.rank, options.gkl);
-    case SvdSolver::kJacobi:
-      break;  // Handled below: needs a materialized matrix.
+    case SvdSolver::kJacobi: {
+      LSI_ASSIGN_OR_RETURN(linalg::SvdResult full,
+                           linalg::JacobiSvd(Densify(a)));
+      return full.Truncated(options.rank);
+    }
   }
   return Status::InvalidArgument("LsiIndex: unknown solver");
-}
-
-Result<linalg::SvdResult> ComputeJacobi(const linalg::DenseMatrix& dense,
-                                        std::size_t rank) {
-  if (rank == 0 || rank > std::min(dense.rows(), dense.cols())) {
-    return Status::InvalidArgument(
-        "LsiIndex: rank must satisfy 1 <= rank <= min(terms, documents)");
-  }
-  LSI_ASSIGN_OR_RETURN(linalg::SvdResult full, linalg::JacobiSvd(dense));
-  return full.Truncated(rank);
 }
 
 std::vector<double> ColumnNorms(const linalg::SparseMatrix& a) {
@@ -101,43 +95,30 @@ LsiIndex::LsiIndex(linalg::SvdResult svd,
   deleted_.assign(m, 0);
 }
 
-Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
-                                 const LsiOptions& options) {
-  if (options.solver == SvdSolver::kJacobi) {
-    linalg::SvdResult svd;
-    {
-      obs::ScopedSpan span("factor");
-      LSI_ASSIGN_OR_RETURN(
-          svd, ComputeJacobi(term_document.ToDense(), options.rank));
-    }
-    return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
+template <typename Matrix>
+Result<LsiIndex> LsiIndex::BuildFrom(const Matrix& term_document,
+                                     const LsiOptions& options) {
+  if (options.rank == 0 ||
+      options.rank > std::min(term_document.rows(), term_document.cols())) {
+    return Status::InvalidArgument(
+        "LsiIndex: rank must satisfy 1 <= rank <= min(terms, documents)");
   }
-  linalg::SparseOperator op(term_document);
   linalg::SvdResult svd;
   {
     obs::ScopedSpan span("factor");
-    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
+    LSI_ASSIGN_OR_RETURN(svd, Factor(term_document, options));
   }
   return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
 }
 
+Result<LsiIndex> LsiIndex::Build(const linalg::SparseMatrix& term_document,
+                                 const LsiOptions& options) {
+  return BuildFrom(term_document, options);
+}
+
 Result<LsiIndex> LsiIndex::Build(const linalg::DenseMatrix& term_document,
                                  const LsiOptions& options) {
-  if (options.solver == SvdSolver::kJacobi) {
-    linalg::SvdResult svd;
-    {
-      obs::ScopedSpan span("factor");
-      LSI_ASSIGN_OR_RETURN(svd, ComputeJacobi(term_document, options.rank));
-    }
-    return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
-  }
-  linalg::DenseOperator op(term_document);
-  linalg::SvdResult svd;
-  {
-    obs::ScopedSpan span("factor");
-    LSI_ASSIGN_OR_RETURN(svd, ComputeTruncatedSvd(op, options));
-  }
-  return LsiIndex(std::move(svd), {}, ColumnNorms(term_document));
+  return BuildFrom(term_document, options);
 }
 
 Result<LsiIndex> LsiIndex::FromSvd(linalg::SvdResult svd) {

@@ -202,6 +202,11 @@ class LsiIndex {
                     linalg::DenseMatrix document_vectors = {},
                     const std::vector<double>& column_norms = {});
 
+  // The one body behind both Build overloads.
+  template <typename Matrix>
+  static Result<LsiIndex> BuildFrom(const Matrix& term_document,
+                                    const LsiOptions& options);
+
   const double* Row(std::size_t j) const;
   double RowNorm(std::size_t j) const;
   // The one scoring loop: ranks live documents other than `exclude` by

@@ -2,20 +2,19 @@
 
 #include <cmath>
 
+#include "linalg/simd/simd.h"
+
 namespace lsi::core {
 
-VectorSpaceIndex::VectorSpaceIndex(linalg::SparseMatrix matrix)
-    : matrix_(std::move(matrix)) {
-  column_norms_.assign(matrix_.cols(), 0.0);
-  const auto& offsets = matrix_.row_offsets();
-  const auto& cols = matrix_.col_indices();
-  const auto& values = matrix_.values();
-  for (std::size_t i = 0; i < matrix_.rows(); ++i) {
-    for (std::size_t p = offsets[i]; p < offsets[i + 1]; ++p) {
-      column_norms_[cols[p]] += values[p] * values[p];
-    }
+VectorSpaceIndex::VectorSpaceIndex(linalg::SparseMatrix documents)
+    : documents_(std::move(documents)),
+      document_norms_(documents_.rows(), 0.0) {
+  const auto& offsets = documents_.row_offsets();
+  const auto& values = documents_.values();
+  for (std::size_t j = 0; j < documents_.rows(); ++j) {
+    document_norms_[j] = std::sqrt(linalg::simd::SquaredNorm(
+        values.data() + offsets[j], offsets[j + 1] - offsets[j]));
   }
-  for (double& norm : column_norms_) norm = std::sqrt(norm);
 }
 
 Result<VectorSpaceIndex> VectorSpaceIndex::Build(
@@ -24,7 +23,7 @@ Result<VectorSpaceIndex> VectorSpaceIndex::Build(
     return Status::InvalidArgument(
         "VectorSpaceIndex requires a nonempty matrix");
   }
-  return VectorSpaceIndex(term_document);
+  return VectorSpaceIndex(term_document.Transposed());
 }
 
 Result<double> VectorSpaceIndex::Similarity(const linalg::DenseVector& query,
@@ -37,21 +36,14 @@ Result<double> VectorSpaceIndex::Similarity(const linalg::DenseVector& query,
     return Status::OutOfRange("Similarity: document index out of range");
   }
   double qnorm = query.Norm();
-  if (qnorm == 0.0 || column_norms_[document] == 0.0) return 0.0;
-  // <q, a_j> via one transpose SpMV would score everything; for a single
-  // document walk the rows once.
-  double dot = 0.0;
-  const auto& offsets = matrix_.row_offsets();
-  const auto& cols = matrix_.col_indices();
-  const auto& values = matrix_.values();
-  for (std::size_t i = 0; i < matrix_.rows(); ++i) {
-    double qi = query[i];
-    if (qi == 0.0) continue;
-    for (std::size_t p = offsets[i]; p < offsets[i + 1]; ++p) {
-      if (cols[p] == document) dot += values[p] * qi;
-    }
-  }
-  return dot / (qnorm * column_norms_[document]);
+  if (qnorm == 0.0 || document_norms_[document] == 0.0) return 0.0;
+  // The same sparse dot Search computes for this document's row.
+  const std::size_t begin = documents_.row_offsets()[document];
+  double dot = linalg::simd::SparseDot(
+      documents_.values().data() + begin,
+      documents_.col_indices().data() + begin,
+      documents_.row_offsets()[document + 1] - begin, query.data());
+  return dot / (qnorm * document_norms_[document]);
 }
 
 Result<std::vector<SearchResult>> VectorSpaceIndex::Search(
@@ -60,13 +52,13 @@ Result<std::vector<SearchResult>> VectorSpaceIndex::Search(
     return Status::InvalidArgument(
         "Search: query dimension must equal the number of terms");
   }
-  linalg::DenseVector dots = matrix_.MultiplyTranspose(query);  // A^T q
+  linalg::DenseVector dots = documents_.Multiply(query);  // A^T q
   double qnorm = query.Norm();
   std::vector<double> scores(NumDocuments(), 0.0);
   if (qnorm > 0.0) {
     for (std::size_t j = 0; j < scores.size(); ++j) {
-      if (column_norms_[j] > 0.0) {
-        scores[j] = dots[j] / (qnorm * column_norms_[j]);
+      if (document_norms_[j] > 0.0) {
+        scores[j] = dots[j] / (qnorm * document_norms_[j]);
       }
     }
   }

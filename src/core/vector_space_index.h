@@ -21,8 +21,8 @@ class VectorSpaceIndex {
   static Result<VectorSpaceIndex> Build(
       const linalg::SparseMatrix& term_document);
 
-  std::size_t NumTerms() const { return matrix_.rows(); }
-  std::size_t NumDocuments() const { return matrix_.cols(); }
+  std::size_t NumTerms() const { return documents_.cols(); }
+  std::size_t NumDocuments() const { return documents_.rows(); }
 
   /// Cosine similarity of `query` (term-space, dimension n) with
   /// document j.
@@ -34,13 +34,12 @@ class VectorSpaceIndex {
   Result<std::vector<SearchResult>> Search(const linalg::DenseVector& query,
                                            std::size_t top_k = 0) const;
 
-  const linalg::SparseMatrix& matrix() const { return matrix_; }
-
  private:
-  explicit VectorSpaceIndex(linalg::SparseMatrix matrix);
+  explicit VectorSpaceIndex(linalg::SparseMatrix documents);
 
-  linalg::SparseMatrix matrix_;
-  std::vector<double> column_norms_;
+  // A^T: row j is document j, so scoring is a row gather.
+  linalg::SparseMatrix documents_;
+  std::vector<double> document_norms_;
 };
 
 }  // namespace lsi::core

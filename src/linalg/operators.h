@@ -48,10 +48,14 @@ class DenseOperator final : public LinearOperator {
   const DenseMatrix& matrix_;
 };
 
-/// LinearOperator view over a SparseMatrix (not owned).
+/// LinearOperator view over a SparseMatrix (not owned) that also stores
+/// A^T, built once here, so both products are row gathers: every output
+/// entry is one sparse dot on one thread, bit-identical at any
+/// LSI_THREADS. The stored transpose costs nnz * 16 bytes.
 class SparseOperator final : public LinearOperator {
  public:
-  explicit SparseOperator(const SparseMatrix& matrix) : matrix_(matrix) {}
+  explicit SparseOperator(const SparseMatrix& matrix)
+      : matrix_(matrix), transposed_(matrix.Transposed()) {}
 
   std::size_t rows() const override { return matrix_.rows(); }
   std::size_t cols() const override { return matrix_.cols(); }
@@ -59,11 +63,12 @@ class SparseOperator final : public LinearOperator {
     return matrix_.Multiply(x);
   }
   DenseVector ApplyTranspose(const DenseVector& x) const override {
-    return matrix_.MultiplyTranspose(x);
+    return transposed_.Multiply(x);
   }
 
  private:
   const SparseMatrix& matrix_;
+  SparseMatrix transposed_;
 };
 
 /// The transpose view of a base operator (not owned).

@@ -91,12 +91,13 @@ Result<SvdResult> SampledSvd(const SparseMatrix& a, std::size_t k,
 
   // Complete the triplets against A: sigma_i = |A^T u_i|,
   // v_i = A^T u_i / sigma_i.
+  SparseOperator op(a);
   SvdResult out;
   out.u = small.u;  // n x k.
   out.singular_values = DenseVector(k);
   out.v = DenseMatrix(m, k, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
-    DenseVector atu = a.MultiplyTranspose(small.u.Column(i));
+    DenseVector atu = op.ApplyTranspose(small.u.Column(i));
     double sigma = atu.Norm();
     out.singular_values[i] = sigma;
     if (sigma > 0.0) {
@@ -113,7 +114,6 @@ Result<SvdResult> SampledSvd(const SparseMatrix& a, std::size_t k,
   stats.reorth_passes = inner_stats.reorth_passes;
   // Inner-solve products on C plus the k completions A^T u_i above.
   stats.matvecs = inner_stats.matvecs + k;
-  SparseOperator op(a);
   internal::FinishSolverStats(op, out, std::move(stats), options.stats);
   return out;
 }

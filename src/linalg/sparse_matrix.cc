@@ -10,9 +10,9 @@
 namespace lsi::linalg {
 namespace {
 
-// Row-range grain for parallel SpMV kernels. Fixed (never derived from
-// the thread count) so the chunked-reduction partition — and therefore
-// the floating-point result — is identical at every LSI_THREADS setting.
+// Row-range grain for the parallel SpMV kernels. Each output row is
+// owned by one chunk and computed by the serial inner loop, so results
+// are bit-identical at every LSI_THREADS setting whatever the grain.
 constexpr std::size_t kSpmvRowGrain = 128;
 
 // Matrices below this many nonzeros aren't worth a parallel region at
@@ -95,35 +95,6 @@ DenseVector SparseMatrix::Multiply(const DenseVector& x) const {
   return y;
 }
 
-DenseVector SparseMatrix::MultiplyTranspose(const DenseVector& x) const {
-  LSI_CHECK(x.size() == rows_);
-  // CSR scatters row contributions into shared output columns, so the
-  // parallel version reduces over row chunks: each chunk accumulates a
-  // private vector and the partials are folded in fixed chunk order.
-  // The partition and fold order depend only on the matrix shape, so the
-  // result is bit-identical at every LSI_THREADS setting.
-  auto scatter_rows = [&](std::size_t row_begin, std::size_t row_end) {
-    DenseVector y(cols_, 0.0);
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      double xi = x[i];
-      if (xi == 0.0) continue;
-      for (std::size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-        y[col_indices_[p]] += values_[p] * xi;
-      }
-    }
-    return y;
-  };
-  if (values_.size() < kMinParallelNnz) {
-    return scatter_rows(0, rows_);
-  }
-  return par::ParallelReduce(
-      std::size_t{0}, rows_, kSpmvRowGrain, DenseVector(cols_, 0.0),
-      scatter_rows, [](DenseVector acc, DenseVector partial) {
-        acc.Axpy(1.0, partial);
-        return acc;
-      });
-}
-
 DenseMatrix SparseMatrix::MultiplyDense(const DenseMatrix& b) const {
   LSI_CHECK(b.rows() == cols_);
   DenseMatrix c(rows_, b.cols(), 0.0);
@@ -142,35 +113,6 @@ DenseMatrix SparseMatrix::MultiplyDense(const DenseMatrix& b) const {
     par::ParallelFor(0, rows_, kSpmvRowGrain, rows_kernel);
   }
   return c;
-}
-
-DenseMatrix SparseMatrix::MultiplyTransposeDense(const DenseMatrix& b) const {
-  LSI_CHECK(b.rows() == rows_);
-  // Scatter into shared output rows -> reduce over row chunks with
-  // private panels folded in chunk order (cf. MultiplyTranspose).
-  auto scatter_rows = [&](std::size_t row_begin, std::size_t row_end) {
-    DenseMatrix c(cols_, b.cols(), 0.0);
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      const double* brow = b.RowPtr(i);
-      for (std::size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
-        simd::Axpy(c.RowPtr(col_indices_[p]), values_[p], brow, b.cols());
-      }
-    }
-    return c;
-  };
-  if (values_.size() * b.cols() < kMinParallelNnz) {
-    return scatter_rows(0, rows_);
-  }
-  return par::ParallelReduce(
-      std::size_t{0}, rows_, kSpmvRowGrain,
-      DenseMatrix(cols_, b.cols(), 0.0), scatter_rows,
-      [](DenseMatrix acc, DenseMatrix partial) {
-        double* a = acc.data();
-        const double* p = partial.data();
-        const std::size_t size = acc.rows() * acc.cols();
-        for (std::size_t i = 0; i < size; ++i) a[i] += p[i];
-        return acc;
-      });
 }
 
 DenseMatrix SparseMatrix::ToDense() const {

@@ -20,7 +20,9 @@ struct Triplet {
 ///
 /// This is the storage for term-document matrices: rows are terms,
 /// columns are documents, and a typical corpus has well under 1% density.
-/// Build one with SparseMatrixBuilder or FromTriplets.
+/// Build one with SparseMatrixBuilder or FromTriplets. Every product is
+/// a row gather; for A^T x, gather over Transposed() (SparseOperator
+/// keeps both orientations).
 class SparseMatrix {
  public:
   /// Creates an empty rows x cols matrix (no nonzeros).
@@ -48,14 +50,8 @@ class SparseMatrix {
   /// y = A * x. Requires x.size() == cols().
   DenseVector Multiply(const DenseVector& x) const;
 
-  /// y = A^T * x. Requires x.size() == rows().
-  DenseVector MultiplyTranspose(const DenseVector& x) const;
-
   /// C = A * B (dense result). Requires b.rows() == cols().
   DenseMatrix MultiplyDense(const DenseMatrix& b) const;
-
-  /// C = A^T * B (dense result). Requires b.rows() == rows().
-  DenseMatrix MultiplyTransposeDense(const DenseMatrix& b) const;
 
   /// Materializes the matrix densely. Intended for tests and small inputs.
   DenseMatrix ToDense() const;

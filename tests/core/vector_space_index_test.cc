@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "par/par.h"
+
 namespace lsi::core {
 namespace {
 
@@ -117,6 +120,63 @@ TEST(VectorSpaceIndexTest, SearchTopK) {
   auto results = index->Search(query, 1);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 1u);
+}
+
+TEST(VectorSpaceIndexTest, MatchesDenseCosineAcrossThreadCounts) {
+  // Above the 2^14-nonzero threshold, so Search's gather runs through
+  // ParallelFor.
+  constexpr std::size_t kTerms = 400;
+  constexpr std::size_t kDocs = 300;
+  Rng rng(41);
+  linalg::DenseMatrix dense(kTerms, kDocs, 0.0);
+  for (std::size_t t = 0; t < 24000; ++t) {
+    dense(rng.NextUint64Below(kTerms), rng.NextUint64Below(kDocs)) +=
+        rng.Uniform(0.0, 1.0);
+  }
+  for (std::size_t i = 0; i < kTerms; ++i) dense(i, 7) = 0.0;  // Empty doc.
+  SparseMatrix sparse = SparseMatrix::FromDense(dense);
+  ASSERT_GE(sparse.NumNonZeros(), std::size_t{1} << 14);
+  auto index = VectorSpaceIndex::Build(sparse);
+  ASSERT_TRUE(index.ok());
+
+  DenseVector query(kTerms, 0.0);
+  for (std::size_t i = 0; i < kTerms; i += 3) query[i] = rng.Uniform(0.0, 1.0);
+  std::vector<double> expected(kDocs, 0.0);
+  for (std::size_t j = 0; j < kDocs; ++j) {
+    double dot = 0.0;
+    double norm_sq = 0.0;
+    for (std::size_t i = 0; i < kTerms; ++i) {
+      dot += dense(i, j) * query[i];
+      norm_sq += dense(i, j) * dense(i, j);
+    }
+    if (norm_sq > 0.0) expected[j] = dot / (query.Norm() * std::sqrt(norm_sq));
+  }
+
+  struct RestoreThreads {
+    ~RestoreThreads() { par::SetThreads(0); }
+  } restore;
+  std::vector<std::vector<SearchResult>> runs;
+  for (std::size_t threads : {1, 8}) {
+    par::SetThreads(threads);
+    auto results = index->Search(query);
+    ASSERT_TRUE(results.ok());
+    ASSERT_EQ(results->size(), kDocs);
+    for (std::size_t r = 0; r < kDocs; ++r) {
+      const SearchResult& hit = (*results)[r];
+      EXPECT_NEAR(hit.score, expected[hit.document], 1e-12);
+      if (r > 0) {
+        EXPECT_GE((*results)[r - 1].score, hit.score);
+      }
+      auto similarity = index->Similarity(query, hit.document);
+      ASSERT_TRUE(similarity.ok());
+      EXPECT_EQ(similarity.value(), hit.score);
+    }
+    runs.push_back(std::move(results).value());
+  }
+  for (std::size_t r = 0; r < kDocs; ++r) {
+    EXPECT_EQ(runs[0][r].document, runs[1][r].document);
+    EXPECT_EQ(runs[0][r].score, runs[1][r].score);
+  }
 }
 
 }  // namespace

@@ -27,6 +27,30 @@ TEST(SparseOperatorTest, MatchesMatrixProducts) {
   SparseOperator op(sparse);
   DenseVector x = testing::RandomUnitVector(5, rng);
   EXPECT_LT(Distance(op.Apply(x), Multiply(dense, x)), 1e-12);
+  DenseVector y = testing::RandomUnitVector(7, rng);
+  EXPECT_LT(Distance(op.ApplyTranspose(y), MultiplyTranspose(dense, y)),
+            1e-13);
+}
+
+TEST(SparseOperatorTest, ApplyTransposeMatchesDenseInParallel) {
+  // Above the 2^14-nonzero threshold, so the gather over A^T runs
+  // through ParallelFor.
+  Rng rng(107);
+  DenseMatrix dense(400, 300, 0.0);
+  for (std::size_t t = 0; t < 24000; ++t) {
+    dense(rng.NextUint64Below(400), rng.NextUint64Below(300)) +=
+        rng.Uniform(-1.0, 1.0);
+  }
+  SparseMatrix sparse = SparseMatrix::FromDense(dense);
+  ASSERT_GE(sparse.NumNonZeros(), std::size_t{1} << 14);
+  SparseOperator op(sparse);
+  EXPECT_EQ(op.rows(), 400u);
+  EXPECT_EQ(op.cols(), 300u);
+  DenseVector y = testing::RandomUnitVector(400, rng);
+  EXPECT_LT(Distance(op.ApplyTranspose(y), MultiplyTranspose(dense, y)),
+            1e-12);
+  DenseVector x = testing::RandomUnitVector(300, rng);
+  EXPECT_LT(Distance(op.Apply(x), Multiply(dense, x)), 1e-12);
 }
 
 TEST(GramOperatorTest, EqualsAtA) {

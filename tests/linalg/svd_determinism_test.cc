@@ -13,6 +13,7 @@
 #include "linalg/dense_matrix.h"
 #include "linalg/dense_vector.h"
 #include "linalg/gkl_svd.h"
+#include "linalg/operators.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/svd.h"
 #include "par/par.h"
@@ -69,12 +70,13 @@ TEST_F(SvdDeterminismTest, SparseMultiplyMatchesAcrossThreadCounts) {
   DenseVector xt(800);
   for (std::size_t i = 0; i < xt.size(); ++i) xt[i] = rng.Uniform(-1.0, 1.0);
 
+  SparseOperator op(a);
   par::SetThreads(1);
-  DenseVector y1 = a.Multiply(x);
-  DenseVector yt1 = a.MultiplyTranspose(xt);
+  DenseVector y1 = op.Apply(x);
+  DenseVector yt1 = op.ApplyTranspose(xt);
   par::SetThreads(8);
-  DenseVector y8 = a.Multiply(x);
-  DenseVector yt8 = a.MultiplyTranspose(xt);
+  DenseVector y8 = op.Apply(x);
+  DenseVector yt8 = op.ApplyTranspose(xt);
 
   ExpectBitIdentical(y1, y8);
   ExpectBitIdentical(yt1, yt8);
